@@ -4,7 +4,8 @@ Adjacency rows are packed into one int64 bitmask per vertex, so this path
 only handles graphs with at most 63 vertices (and for the rainbow search,
 at most 63 dense colors); the dispatcher falls back to the pure kernels
 otherwise. Semantics match _kernels_py exactly: ascending candidate order,
-strict-improvement updates, one budget node per extension.
+strict-improvement updates, one budget node per extension, and a rainbow
+search that stops at the first path that uses every color.
 
 Without numba, njit is an identity decorator and the kernels run as plain
 Python over numpy int64 values. tests/test_oracle.py relies on this to check
@@ -102,6 +103,12 @@ def longest_induced_path(masks, n, max_nodes):
 
 @njit(cache=True)
 def longest_induced_rainbow_path(masks, n, colors, max_nodes):
+    """Twin of _kernels_py.longest_induced_rainbow_path: it too stops at the
+    first path that uses every color (colors are dense 0-based ids)."""
+    palette = 0
+    for v in range(n):
+        if colors[v] + 1 > palette:
+            palette = colors[v] + 1
     best = np.zeros(n, np.int64)
     best_len = 0
     path = np.zeros(n, np.int64)
@@ -114,6 +121,8 @@ def longest_induced_rainbow_path(masks, n, colors, max_nodes):
         if best_len == 0:
             best[0] = start
             best_len = 1
+            if palette == 1:
+                return best_len, best, nodes, False
         depth = 0
         path[0] = start
         closed[0] = one << start
@@ -142,6 +151,8 @@ def longest_induced_rainbow_path(masks, n, colors, max_nodes):
                 best_len = depth + 1
                 for i in range(best_len):
                     best[i] = path[i]
+                if best_len == palette:
+                    return best_len, best, nodes, False
     return best_len, best, nodes, False
 
 

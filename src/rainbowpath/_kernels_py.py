@@ -49,13 +49,20 @@ def longest_induced_rainbow_path(
     """Maximum-order induced path with pairwise distinct colors.
 
     colors must be dense 0-based ids; extensions repeating a used color are
-    pruned, which is safe because prefixes of rainbow paths are rainbow.
+    pruned, which is safe because prefixes of rainbow paths are rainbow. No
+    rainbow path has more vertices than there are colors, so the search stops
+    at the first path that uses every color: later paths can only tie it, and
+    ties never replace the best, so the result is the one the full search
+    returns, reported exact.
     """
+    palette = max(colors, default=-1) + 1
     best: list[int] = []
     nodes = 0
     for start in range(n):
         if not best:
             best = [start]
+            if palette == 1:
+                return best, nodes, False
         path = [start]
         closed = [1 << start]
         used = [1 << colors[start]]
@@ -82,6 +89,8 @@ def longest_induced_rainbow_path(
             cands.append(masks[x] & ~new_closed)
             if len(path) > len(best):
                 best = path.copy()
+                if len(best) == palette:
+                    return best, nodes, False
     return best, nodes, False
 
 

@@ -12,24 +12,30 @@ least ceil(chi_lb / 2) distinct colors while staying induced.
 The recursion trusts the caller's chromatic lower bound and passes it down
 decremented by two, exactly like the induction it implements; strict mode
 additionally recomputes the exact chromatic number of every recursed
-subgraph for trace auditing.
+subgraph for trace auditing. It works on vertex bitmasks of the original
+graph, and what depends only on the graph (the entry checks and the
+chromatic number of each vertex set it compares) is computed once per graph.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .chromatic import chromatic_number, dsatur_coloring
 from .graphs import (
     ColoredGraph,
+    Graph,
     GraphError,
     Path,
     _bits,
+    _mask_components,
+    _mask_shortest_path,
     classify_path,
     connected_components,
     induced_subgraph,
     is_triangle_free,
-    shortest_path_to_set,
 )
 
 
@@ -62,26 +68,20 @@ class ColorfulResult:
     steps: tuple[ColorfulStep, ...]
 
 
-def _subset_components(cg: ColoredGraph, subset: set[int]) -> list[tuple[int, ...]]:
-    """Connected components of the induced subgraph, by ascending min id."""
-    sub = induced_subgraph(cg.graph, subset)
-    return [
-        tuple(sub.to_parent[v] for v in comp)
-        for comp in connected_components(sub.graph)
-    ]
+@functools.lru_cache(maxsize=1)
+def _graph_facts(g: Graph) -> tuple[bool, bool, int, Callable[[int], int]]:
+    """What the construction needs to know about g whatever its coloring:
+    triangle-free, connected, the DSATUR palette size, and a memoized chi of
+    the subgraph induced by a vertex bitmask.
 
-
-def _subset_chi(cg: ColoredGraph, subset: tuple[int, ...]) -> int:
-    return chromatic_number(induced_subgraph(cg.graph, subset).graph).chi
-
-
-def _shortest_in_subset(cg: ColoredGraph, subset: set[int], source: int,
-                        targets: set[int]) -> tuple[int, ...]:
-    sub = induced_subgraph(cg.graph, subset)
-    path = shortest_path_to_set(
-        sub.graph, sub.to_sub[source], {sub.to_sub[t] for t in targets}
+    A sweep runs the construction for every coloring and pivot of one graph
+    in a row; keeping only the latest graph's facts bounds memory.
+    """
+    chi = functools.cache(
+        lambda subset: chromatic_number(induced_subgraph(g, _bits(subset)).graph).chi
     )
-    return tuple(sub.to_parent[v] for v in path.vertices)
+    return (is_triangle_free(g), len(connected_components(g)) == 1,
+            dsatur_coloring(g).palette_size, chi)
 
 
 def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
@@ -97,17 +97,18 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
         raise GraphError(f"start vertex {start} not in graph")
     if chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    if not is_triangle_free(g):
+    triangle_free, connected, upper_bound, chi = _graph_facts(g)
+    if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
-    if len(connected_components(g)) != 1:
+    if not connected:
         raise GraphError("construction requires a connected graph")
-    if chi_lb > dsatur_coloring(g).palette_size:
+    if chi_lb > upper_bound:
         raise GraphError(
             f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound"
         )
 
     steps: list[ColorfulStep] = []
-    path = _recurse(cg, frozenset(range(g.n)), start, chi_lb, 0, steps, strict)
+    path = _recurse(cg, chi, (1 << g.n) - 1, start, chi_lb, 0, steps, strict)
     steps.sort(key=lambda st: st.level)
     result = Path(path)
     report = classify_path(cg, result.vertices)
@@ -116,46 +117,39 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
     return ColorfulResult(path=result, steps=tuple(steps))
 
 
-def _recurse(cg: ColoredGraph, active: frozenset[int], v: int, chi_lb: int,
-             level: int, steps: list[ColorfulStep], strict: bool = False) -> tuple[int, ...]:
+def _recurse(cg: ColoredGraph, chi: Callable[[int], int], active: int, v: int, chi_lb: int,
+             level: int, steps: list[ColorfulStep], strict: bool) -> tuple[int, ...]:
     if chi_lb <= 2:
         return (v,)
-    g = cg.graph
-    c = cg.color_of(v)
-    remaining = {u for u in active if cg.color_of(u) != c}
+    masks = cg.graph.masks
+    colors = cg.coloring.colors
+    c = colors[v]
+    remaining = 0
+    for u in _bits(active):
+        if colors[u] != c:
+            remaining |= 1 << u
     if not remaining:
         raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
 
-    components = _subset_components(cg, remaining)
-    c1 = max(components, key=lambda comp: _subset_chi(cg, comp))
-    c1_set = set(c1)
-
-    p = _shortest_in_subset(cg, set(active), v, c1_set)
+    c1 = max(_mask_components(masks, remaining), key=chi)
+    p = _mask_shortest_path(masks, active, v, c1)
     w = p[-2]
-    fan = tuple(sorted(u for u in _bits(g.masks[w]) if u in c1_set))
-    for a in fan:
-        for b in fan:
-            if a < b and g.has_edge(a, b):
-                raise GraphError("fan is not independent; graph has a triangle")
+    fan = masks[w] & c1
+    if any(masks[a] & fan for a in _bits(fan)):
+        raise GraphError("fan is not independent; graph has a triangle")
 
-    pruned = tuple(sorted(c1_set - set(fan)))
+    pruned = c1 & ~fan
     if not pruned:
         raise GraphError("component vanished after fan removal; chi_lb overstated")
-    sub_components = _subset_components(cg, set(pruned))
-    c2 = max(sub_components, key=lambda comp: _subset_chi(cg, comp))
-    c2_set = set(c2)
+    c2 = max(_mask_components(masks, pruned), key=chi)
 
-    bridge = -1
-    for u in fan:
-        if g.masks[u] & _mask(c2_set):
-            bridge = u
-            break
+    bridge = next((u for u in _bits(fan) if masks[u] & c2), -1)
     if bridge == -1:
         raise GraphError("no fan vertex reaches the second component")
 
-    recursed = frozenset(c2_set | {bridge})
-    q = _recurse(cg, recursed, bridge, chi_lb - 2, level + 1, steps, strict)
-    if any(cg.color_of(u) == c for u in q):
+    recursed = c2 | 1 << bridge
+    q = _recurse(cg, chi, recursed, bridge, chi_lb - 2, level + 1, steps, strict)
+    if any(colors[u] == c for u in q):
         raise GraphError("recursive path reused the removed color")
 
     assembled = p[:-1] + q
@@ -165,26 +159,19 @@ def _recurse(cg: ColoredGraph, active: frozenset[int], v: int, chi_lb: int,
             chi_lb=chi_lb,
             start=v,
             removed_color=c,
-            active_vertices=tuple(sorted(active)),
-            after_removal=tuple(sorted(remaining)),
-            chosen_component=c1,
+            active_vertices=tuple(_bits(active)),
+            after_removal=tuple(_bits(remaining)),
+            chosen_component=tuple(_bits(c1)),
             approach_path=p,
             pivot=w,
-            pivot_fan=fan,
-            pruned_vertices=pruned,
-            second_component=c2,
+            pivot_fan=tuple(_bits(fan)),
+            pruned_vertices=tuple(_bits(pruned)),
+            second_component=tuple(_bits(c2)),
             bridge=bridge,
-            recursed_vertices=tuple(sorted(recursed)),
+            recursed_vertices=tuple(_bits(recursed)),
             sub_path=q,
             assembled=assembled,
-            recomputed_chi=_subset_chi(cg, tuple(sorted(recursed))) if strict else None,
+            recomputed_chi=chi(recursed) if strict else None,
         ),
     )
     return assembled
-
-
-def _mask(vertices: set[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m

@@ -24,6 +24,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit (-1 for an empty mask)."""
+    return (mask & -mask).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency."""
@@ -200,22 +205,53 @@ def is_triangle_free(g: Graph) -> bool:
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, ordered by minimum vertex id."""
-    seen = 0
-    parts: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.masks[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        parts.append(tuple(_bits(comp)))
+    return [tuple(_bits(comp)) for comp in _mask_components(g.masks, (1 << g.n) - 1)]
+
+
+def _layers(masks: tuple[int, ...], subset: int, frontier: int) -> Iterator[int]:
+    """Breadth-first layers, as bitmasks, of the subgraph induced by the
+    vertex bitmask subset, starting from the vertex bitmask frontier."""
+    seen = frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in _bits(frontier):
+            reach |= masks[v]
+        frontier = reach & subset & ~seen
+        seen |= frontier
+
+
+def _mask_components(masks: tuple[int, ...], subset: int) -> list[int]:
+    """Component bitmasks of the subgraph induced by subset, by ascending minimum id."""
+    parts = []
+    while subset:
+        comp = 0
+        for layer in _layers(masks, subset, subset & -subset):
+            comp |= layer
+        parts.append(comp)
+        subset &= ~comp
     return parts
+
+
+def _mask_shortest_path(masks: tuple[int, ...], subset: int, source: int,
+                        targets: int) -> tuple[int, ...]:
+    """Shortest path inside subset from source to the first-reached target.
+
+    Breadth-first, with each layer expanded in ascending id order: a vertex's
+    parent is its smallest neighbor in the layer before, and the target
+    reached first is the one with the smallest parent, then the smallest id.
+    """
+    layers = [0]
+    for layer in _layers(masks, subset, 1 << source):
+        layers.append(layer)
+        if layer & targets:
+            break
+    else:
+        raise GraphError("no target vertex is reachable from the source")
+    path = [min(_bits(layers[-1] & targets), key=lambda t: (_lowest(masks[t] & layers[-2]), t))]
+    for layer in reversed(layers[1:-1]):
+        path.append(_lowest(masks[path[-1]] & layer))
+    return tuple(reversed(path))
 
 
 @dataclass(frozen=True)
@@ -260,22 +296,4 @@ def shortest_path_to_set(g: Graph, source: int, targets: Iterable[int]) -> Path:
         raise GraphError("target set is empty")
     if not 0 <= source < g.n:
         raise GraphError(f"source {source} not in graph")
-    if target_mask >> source & 1:
-        return Path((source,))
-    parent = {source: -1}
-    frontier = [source]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for w in _bits(g.masks[u]):
-                if w in parent:
-                    continue
-                parent[w] = u
-                if target_mask >> w & 1:
-                    rev = [w]
-                    while rev[-1] != source:
-                        rev.append(parent[rev[-1]])
-                    return Path(tuple(reversed(rev)))
-                nxt.append(w)
-        frontier = sorted(nxt)
-    raise GraphError("no target vertex is reachable from the source")
+    return Path(_mask_shortest_path(g.masks, (1 << g.n) - 1, source, target_mask))

@@ -26,6 +26,7 @@ from .graphs import (
     Coloring,
     Graph,
     GraphError,
+    InducedSubgraph,
     connected_components,
     induced_subgraph,
     is_triangle_free,
@@ -117,35 +118,28 @@ def _sample_colorings(g: Graph, max_colors: int, count: int, rng: random.Random,
     return out
 
 
-def _colorful_arena(g: Graph, chi: int, thorough: bool) -> tuple[tuple[int, ...] | None, list[int]]:
-    """Component and pivot vertices for the colorful construction.
+def _colorful_arena(g: Graph, chi: int, thorough: bool) -> tuple[InducedSubgraph | None, list[int]]:
+    """Arena and pivot vertices for the colorful construction.
 
-    Vertex 0 when the graph is connected (component None means: use the whole
+    Vertex 0 when the graph is connected (arena None means: use the whole
     graph); otherwise the construction needs a component whose chromatic
-    number attains chi, so pivots come from the first such component and the
-    construction runs inside it.
+    number attains chi, so the arena is the subgraph induced by the first
+    such component and the pivots, vertex ids of g, come from it.
     """
     comps = connected_components(g)
     if len(comps) == 1:
         return None, (list(range(g.n)) if thorough else [0])
     for comp in comps:
-        sub_chi = chromatic_number(induced_subgraph(g, comp).graph).chi
-        if sub_chi == chi:
-            return comp, (list(comp) if thorough else [comp[0]])
+        sub = induced_subgraph(g, comp)
+        if chromatic_number(sub.graph).chi == chi:
+            return sub, (list(comp) if thorough else [comp[0]])
     raise GraphError("no component attains the graph's chromatic number")
 
 
-def _colorful_count(cg: ColoredGraph, comp: tuple[int, ...] | None, pivot: int, chi: int) -> int:
-    """Distinct colors on the constructed path, restricted to comp if given."""
-    if comp is None:
-        result = colorful_path_from(cg, pivot, chi)
-        return len({cg.color_of(v) for v in result.path.vertices})
-    sub = induced_subgraph(cg.graph, comp)
-    sub_cg = ColoredGraph(
-        sub.graph, Coloring(tuple(cg.coloring.colors[v] for v in sub.to_parent))
-    )
-    result = colorful_path_from(sub_cg, sub.to_sub[pivot], chi)
-    return len({sub_cg.color_of(v) for v in result.path.vertices})
+def _colorful_count(cg: ColoredGraph, start: int, chi: int) -> int:
+    """Distinct colors on the path the construction builds from start."""
+    result = colorful_path_from(cg, start, chi)
+    return len({cg.color_of(v) for v in result.path.vertices})
 
 
 def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> ConjectureReport:
@@ -184,8 +178,12 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         gallai = gallai_roy_rainbow_path(cg)
         colorful_colors = g.n
         colorful_pivot = pivots[0] if pivots else 0
+        arena_cg = cg if arena is None else ColoredGraph(
+            arena.graph, Coloring(tuple(coloring.colors[v] for v in arena.to_parent))
+        )
         for pivot in pivots:
-            count = _colorful_count(cg, arena, pivot, chi)
+            start = pivot if arena is None else arena.to_sub[pivot]
+            count = _colorful_count(arena_cg, start, chi)
             if count < colorful_colors:
                 colorful_colors = count
                 colorful_pivot = pivot

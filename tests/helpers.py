@@ -87,6 +87,33 @@ def naive_most_colorful_from(cg: ColoredGraph, start: int) -> int:
     return best
 
 
+def naive_shortest_path_to_set(g: Graph, source: int, targets: set[int]) -> tuple[int, ...] | None:
+    """Breadth-first search with a parent map: each layer in ascending id
+    order, each vertex's neighbors in ascending id order, the first vertex
+    to reach a neighbor becomes its parent, and the search stops at the
+    first target reached. None when no target is reachable."""
+    adj = adjacency_lists(g)
+    if source in targets:
+        return (source,)
+    parent = {source: None}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in sorted(adj[u]):
+                if w in parent:
+                    continue
+                parent[w] = u
+                if w in targets:
+                    path = [w]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                nxt.append(w)
+        frontier = sorted(nxt)
+    return None
+
+
 def naive_chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0

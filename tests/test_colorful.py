@@ -1,9 +1,13 @@
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from rainbowpath import (
     ColoredGraph,
+    ColorfulStep,
     Coloring,
     SearchBudget,
     build_graph,
@@ -17,6 +21,8 @@ from rainbowpath import (
     random_triangle_free,
 )
 from rainbowpath.graphs import GraphError
+
+DATA = Path(__file__).parent / "data"
 
 
 def colors_seen(cg, path):
@@ -162,3 +168,29 @@ class TestStrictMode:
         for st in result.steps:
             assert st.recomputed_chi is not None
             assert st.recomputed_chi >= st.chi_lb - 2
+
+
+class TestTraceIdentity:
+    """Full strict-mode traces, every ColorfulStep field, frozen from the
+    construction as it stood before its recursion moved to vertex bitmasks:
+    Grotzsch and Mycielski-3 under three enumerated optimal colorings each
+    (indices 0, 173, 519 and 0, 400, 999), from every start vertex."""
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        return json.loads((DATA / "colorful_traces.json").read_text(encoding="ascii"))
+
+    def test_fields_cover_every_step_field(self, frozen):
+        assert frozen["fields"] == [f.name for f in dataclasses.fields(ColorfulStep)]
+
+    def test_steps_identical(self, frozen):
+        graphs = {"grotzsch": mycielski_iterates(2)[-1], "mycielski3": mycielski_iterates(3)[-1]}
+        assert len(frozen["cases"]) == 3 * 11 + 3 * 23
+        for case in frozen["cases"]:
+            cg = ColoredGraph(graphs[case["graph"]], Coloring(tuple(case["colors"])))
+            result = colorful_path_from(cg, case["start"], case["chi"], strict=True)
+            # a JSON round trip turns the tuples into the lists that were frozen
+            got = json.loads(json.dumps(
+                [list(result.path.vertices), [dataclasses.astuple(st) for st in result.steps]]
+            ))
+            assert got == [case["path"], case["steps"]], (case["graph"], case["colors"], case["start"])

@@ -14,7 +14,8 @@ from rainbowpath import (
     is_triangle_free,
     shortest_path_to_set,
 )
-from helpers import naive_triangle_free
+from rainbowpath.graphs import _bits, _mask_components, _mask_shortest_path
+from helpers import naive_shortest_path_to_set, naive_triangle_free
 
 
 @st.composite
@@ -155,6 +156,12 @@ class TestShortestPathToSet:
         # two equal routes around the cycle; ascending expansion wins
         assert shortest_path_to_set(c5, 0, {2}).vertices == (0, 1, 2)
 
+    def test_first_target_reached_wins_over_smaller_id(self):
+        # 5 is reached from 1 before 3 is reached from 2
+        g = build_graph(6, [(0, 1), (0, 2), (1, 5), (2, 3), (3, 4)])
+        assert shortest_path_to_set(g, 0, {3, 5}).vertices == (0, 1, 5)
+        assert naive_shortest_path_to_set(g, 0, {3, 5}) == (0, 1, 5)
+
     def test_path_graph(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert shortest_path_to_set(g, 0, {3}).vertices == (0, 1, 2, 3)
@@ -179,6 +186,46 @@ class TestShortestPathToSet:
             return
         cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
         assert classify_path(cg, path.vertices).is_induced
+
+    @given(graphs(), st.data())
+    @settings(max_examples=150)
+    def test_matches_reference_bfs(self, g, data):
+        source = data.draw(st.integers(0, g.n - 1))
+        targets = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        expected = naive_shortest_path_to_set(g, source, targets)
+        if expected is None:
+            with pytest.raises(GraphError):
+                shortest_path_to_set(g, source, targets)
+        else:
+            assert shortest_path_to_set(g, source, targets).vertices == expected
+
+
+class TestSubsetSearches:
+    """The bitmask searches the colorful construction runs inside vertex
+    subsets agree with the public searches on the induced subgraph."""
+
+    @given(graphs(max_n=10), st.data())
+    @settings(max_examples=150)
+    def test_agree_with_induced_subgraph(self, g, data):
+        subset = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        mask = sum(1 << v for v in subset)
+        sub = induced_subgraph(g, subset)
+        assert [tuple(_bits(comp)) for comp in _mask_components(g.masks, mask)] == [
+            tuple(sub.to_parent[v] for v in comp) for comp in connected_components(sub.graph)
+        ]
+        source = data.draw(st.sampled_from(subset))
+        targets = data.draw(st.sets(st.sampled_from(subset), min_size=1))
+        expected = naive_shortest_path_to_set(
+            sub.graph, sub.to_sub[source], {sub.to_sub[t] for t in targets}
+        )
+        target_mask = sum(1 << t for t in targets)
+        if expected is None:
+            with pytest.raises(GraphError):
+                _mask_shortest_path(g.masks, mask, source, target_mask)
+        else:
+            assert _mask_shortest_path(g.masks, mask, source, target_mask) == tuple(
+                sub.to_parent[v] for v in expected
+            )
 
 
 class TestIsProper:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from rainbowpath import (
     run_corpus,
 )
 from rainbowpath.graphs import GraphError
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCheckGraph:
@@ -57,6 +60,16 @@ class TestCheckGraph:
         for record in report.checks:
             assert record.colorful_colors >= 2
             assert record.colorful_pivot == 0
+
+    def test_disconnected_arena_report_frozen(self, c5, grotzsch):
+        # C5 then Grotzsch: chi 4 comes from the second component, so the
+        # construction runs on its induced subgraph, whose ids are shifted by
+        # five, from every pivot. The report was frozen before the harness
+        # built that subgraph once per graph instead of once per pivot.
+        g = build_graph(16, list(c5.edges()) + [(5 + u, 5 + v) for u, v in grotzsch.edges()])
+        report = check_graph(g, HarnessConfig(coloring_cap=30, thorough=True), "c5+grotzsch")
+        frozen = (DATA / "c5_grotzsch_report.json").read_text(encoding="ascii")
+        assert report_to_json(report) + "\n" == frozen
 
     def test_sampling_beyond_cap(self, grotzsch):
         cfg = HarnessConfig(coloring_cap=5, extra_samples=5, seed=7)

@@ -20,6 +20,7 @@ from rainbowpath import (
     longest_induced_path,
     longest_induced_rainbow_path,
     max_colorful_induced_path_from,
+    mycielski_iterates,
     orient_by_color,
     random_triangle_free,
 )
@@ -102,6 +103,62 @@ class TestLongestInducedRainbowPath:
         rainbow = longest_induced_rainbow_path(cg).path.order
         plain = longest_induced_path(cg.graph).path.order
         assert rainbow <= plain <= cg.graph.n
+
+
+class TestRainbowPaletteExit:
+    """The rainbow search stops at the first path that uses every color.
+
+    Each case: graph, an optimal coloring, the path returned both before and
+    after the early exit was added, the nodes the search spent before it, and
+    the node at which it first reached the palette (all it spends now).
+    """
+
+    CASES = [
+        (2, (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4), (0, 3, 9, 10), 134, 5),
+        (2, (1, 2, 3, 2, 1, 1, 2, 3, 3, 1, 4), (0, 1, 7, 10), 146, 4),
+        (2, (1, 2, 3, 4, 2, 3, 4, 4, 4, 2, 1), (0, 3, 4, 2), 158, 7),
+        (3, (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 5),
+         (0, 3, 9, 21, 22), 1412, 7),
+        (3, (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 1, 5, 5, 1, 2, 5, 2, 3, 5, 4),
+         (0, 1, 18, 10, 9), 1784, 5),
+        (3, (1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 5, 5, 3, 1, 5, 5, 5, 5, 5, 4),
+         (0, 1, 13, 9, 10), 2048, 5),
+    ]
+
+    @staticmethod
+    def _colored(depth, colors):
+        # depth 2 is Grotzsch, depth 3 is Mycielski-3
+        return ColoredGraph(mycielski_iterates(depth)[-1], Coloring(colors))
+
+    @pytest.mark.parametrize("depth,colors,path,full_nodes,reached_at", CASES)
+    def test_same_path_fewer_nodes(self, depth, colors, path, full_nodes, reached_at):
+        cg = self._colored(depth, colors)
+        result = longest_induced_rainbow_path(cg)
+        assert result.path.vertices == path and result.exact
+        assert result.path.order == cg.coloring.palette_size
+        assert result.nodes == reached_at < full_nodes
+
+    @pytest.mark.parametrize("depth,colors,path,full_nodes,reached_at", CASES)
+    def test_budget_spent_after_palette_is_exact(self, depth, colors, path, full_nodes,
+                                                 reached_at):
+        # The full search ran out of a budget of reached_at nodes (flagged
+        # inexact); it now stops there with the path proved maximum.
+        cg = self._colored(depth, colors)
+        result = longest_induced_rainbow_path(cg, SearchBudget(max_nodes=reached_at))
+        assert result.path.vertices == path and result.exact
+        short = longest_induced_rainbow_path(
+            cg, SearchBudget(max_nodes=reached_at - 1, on_exceed="flag")
+        )
+        assert not short.exact and short.path.order < len(path)
+
+    def test_one_color_costs_no_nodes(self):
+        for g in (build_graph(1, []), build_graph(3, [])):
+            result = longest_induced_rainbow_path(ColoredGraph(g, Coloring((1,) * g.n)))
+            assert result.path.vertices == (0,) and result.exact and result.nodes == 0
+            ln, arr, nodes, exceeded = _kernels_jit.longest_induced_rainbow_path(
+                np.array(g.masks, dtype=np.int64), g.n, np.zeros(g.n, np.int64), 1
+            )
+            assert (ln, list(arr[:ln]), nodes, exceeded) == (1, [0], 0, False)
 
 
 class TestMaxColorfulFrom:
@@ -206,41 +263,52 @@ class TestBackends:
         monkeypatch.setenv(ENV_VAR, name)
 
     @staticmethod
-    def _twin_runs(g, dense, max_nodes):
+    def _twin_runs(g, dense, budgets):
         """(path, nodes, exceeded) of the three searches from _kernels_py and
-        from _kernels_jit, each fed the inputs oracle packs for it."""
+        from _kernels_jit, each fed the inputs oracle packs for it; budgets
+        holds the node budget of each search in that order."""
+        lip, rainbow, colorful = budgets
         pure = [
-            _kernels_py.longest_induced_path(g.masks, g.n, max_nodes),
-            _kernels_py.longest_induced_rainbow_path(g.masks, g.n, dense, max_nodes),
-            _kernels_py.most_colorful_path_from(g.masks, g.n, dense, 0, max_nodes),
+            _kernels_py.longest_induced_path(g.masks, g.n, lip),
+            _kernels_py.longest_induced_rainbow_path(g.masks, g.n, dense, rainbow),
+            _kernels_py.most_colorful_path_from(g.masks, g.n, dense, 0, colorful),
         ]
         masks = np.array(g.masks, dtype=np.int64)
         colors = np.array(dense, dtype=np.int64)
         jit = [
             ([int(v) for v in arr[:ln]], int(nodes), bool(exceeded))
             for ln, arr, nodes, exceeded in (
-                _kernels_jit.longest_induced_path(masks, g.n, max_nodes),
-                _kernels_jit.longest_induced_rainbow_path(masks, g.n, colors, max_nodes),
-                _kernels_jit.most_colorful_path_from(masks, g.n, colors, 0, max_nodes),
+                _kernels_jit.longest_induced_path(masks, g.n, lip),
+                _kernels_jit.longest_induced_rainbow_path(masks, g.n, colors, rainbow),
+                _kernels_jit.most_colorful_path_from(masks, g.n, colors, 0, colorful),
             )
         ]
         return pure, jit
 
+    # All-distinct colors take color masks past bit 7, where the interpreted
+    # _popcount wraps with a RuntimeWarning (see the _kernels_jit docstring).
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
     @pytest.mark.parametrize("seed", range(8))
     def test_backends_agree(self, seed):
         # Calls both kernel modules directly: with numba installed this checks
         # the compiled kernels, without it the same source run interpreted.
         g = random_triangle_free(12, 0.4, seed=seed)
-        dense, _ = _dense_colors(ColoredGraph(g, dsatur_coloring(g)))
-        pure, jit = self._twin_runs(g, dense, SearchBudget().max_nodes)
-        # identical paths AND identical node accounting: the kernels must be twins
-        assert jit == pure
-        assert not any(exceeded for _, _, exceeded in pure)
-        # half the smallest search's nodes cuts every search short, so the
-        # exceeded flag and the partial best are compared as well
-        pure, jit = self._twin_runs(g, dense, min(nodes for _, nodes, _ in pure) // 2)
-        assert jit == pure
-        assert all(exceeded for _, _, exceeded in pure)
+        # Under DSATUR colors the rainbow search stops at a path that uses
+        # every color; under all-distinct colors no induced path of these
+        # graphs has 12 vertices, so it searches to the end.
+        for coloring, palette_reached in ((dsatur_coloring(g), True),
+                                          (Coloring(tuple(range(1, g.n + 1))), False)):
+            dense, palette = _dense_colors(ColoredGraph(g, coloring))
+            pure, jit = self._twin_runs(g, dense, (SearchBudget().max_nodes,) * 3)
+            # identical paths AND identical node accounting: the kernels must be twins
+            assert jit == pure
+            assert not any(exceeded for _, _, exceeded in pure)
+            assert (len(pure[1][0]) == palette) == palette_reached
+            # half of each search's own node count cuts it short, so the
+            # exceeded flag and the partial best are compared as well
+            pure, jit = self._twin_runs(g, dense, [nodes // 2 for _, nodes, _ in pure])
+            assert jit == pure
+            assert all(exceeded for _, _, exceeded in pure)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_backends_agree_via_oracle(self, monkeypatch, seed):
