@@ -2,18 +2,21 @@
 guarantee, plus the Gallai-Roy orientation construction.
 
 The induced-path searches run depth-first over extendable induced paths with
-bitset pruning; they are exact whenever the search budget is not exhausted,
-and best-effort results are always flagged, never silently returned.
+bitset pruning over int adjacency masks (Python ints are unbounded bitsets,
+so any graph size and any palette fit); they are exact whenever the search
+budget is not exhausted, and best-effort results are always flagged, never
+silently returned. Their results, node counts included, follow one contract:
+
+- candidates are tried in ascending vertex id;
+- the best result is replaced only on strict improvement;
+- each path extension counts one search node against the budget;
+- the rainbow search stops at the first path that uses every color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels_jit, _kernels_py
-from .backend import use_jit
 from .graphs import ColoredGraph, Graph, GraphError, Path, _bits
 
 
@@ -46,14 +49,14 @@ class SearchResult:
     nodes: int
 
 
-def _dense_colors(cg: ColoredGraph) -> tuple[list[int], int]:
+def _dense_colors(cg: ColoredGraph) -> list[int]:
     remap: dict[int, int] = {}
     dense = []
     for c in cg.coloring.colors:
         if c not in remap:
             remap[c] = len(remap)
         dense.append(remap[c])
-    return dense, len(remap)
+    return dense
 
 
 def _check_budget(g: Graph, budget: SearchBudget) -> None:
@@ -75,6 +78,140 @@ def _finish(raw_path: list[int], nodes: int, exceeded: bool, budget: SearchBudge
     return SearchResult(Path(vs), exact=not exceeded, nodes=nodes)
 
 
+def _search_induced_path(masks: tuple[int, ...], n: int, max_nodes: int) -> tuple[list[int], int, bool]:
+    """Maximum-order induced path; returns (path, nodes_used, exceeded)."""
+    best: list[int] = []
+    nodes = 0
+    for start in range(n):
+        if not best:
+            best = [start]
+        path = [start]
+        closed = [1 << start]
+        cands = [masks[start]]
+        while path:
+            if not cands[-1]:
+                path.pop()
+                closed.pop()
+                cands.pop()
+                continue
+            low = cands[-1] & -cands[-1]
+            cands[-1] ^= low
+            nodes += 1
+            if nodes > max_nodes:
+                return best, nodes, True
+            x = low.bit_length() - 1
+            new_closed = closed[-1] | masks[path[-1]] | low
+            path.append(x)
+            closed.append(new_closed)
+            cands.append(masks[x] & ~new_closed)
+            if len(path) > len(best):
+                best = path.copy()
+    return best, nodes, False
+
+
+def _search_rainbow_path(
+    masks: tuple[int, ...], n: int, colors: list[int], max_nodes: int
+) -> tuple[list[int], int, bool]:
+    """Maximum-order induced path with pairwise distinct colors.
+
+    colors must be dense 0-based ids; extensions repeating a used color are
+    pruned, which is safe because prefixes of rainbow paths are rainbow. No
+    rainbow path has more vertices than there are colors, so the search stops
+    at the first path that uses every color: later paths can only tie it, and
+    ties never replace the best, so the result is the one the full search
+    returns, reported exact.
+    """
+    palette = max(colors, default=-1) + 1
+    best: list[int] = []
+    nodes = 0
+    for start in range(n):
+        if not best:
+            best = [start]
+            if palette == 1:
+                return best, nodes, False
+        path = [start]
+        closed = [1 << start]
+        used = [1 << colors[start]]
+        cands = [masks[start]]
+        while path:
+            if not cands[-1]:
+                path.pop()
+                closed.pop()
+                used.pop()
+                cands.pop()
+                continue
+            low = cands[-1] & -cands[-1]
+            cands[-1] ^= low
+            x = low.bit_length() - 1
+            if used[-1] >> colors[x] & 1:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                return best, nodes, True
+            new_closed = closed[-1] | masks[path[-1]] | low
+            path.append(x)
+            closed.append(new_closed)
+            used.append(used[-1] | 1 << colors[x])
+            cands.append(masks[x] & ~new_closed)
+            if len(path) > len(best):
+                best = path.copy()
+                if len(best) == palette:
+                    return best, nodes, False
+    return best, nodes, False
+
+
+def _search_most_colorful(
+    masks: tuple[int, ...], n: int, colors: list[int], start: int, max_nodes: int
+) -> tuple[list[int], int, bool]:
+    """Induced path from a fixed start maximizing distinct colors.
+
+    Ties prefer smaller order, then the lexicographically smallest vertex
+    sequence (guaranteed by depth-first enumeration order). Branches whose
+    optimistic color bound cannot strictly beat the best count are pruned.
+    """
+    best = [start]
+    best_count = 1
+    nodes = 0
+    path = [start]
+    closed = [1 << start]
+    used = [1 << colors[start]]
+    cands = [masks[start]]
+    while path:
+        if not cands[-1]:
+            path.pop()
+            closed.pop()
+            used.pop()
+            cands.pop()
+            continue
+        low = cands[-1] & -cands[-1]
+        cands[-1] ^= low
+        x = low.bit_length() - 1
+        nodes += 1
+        if nodes > max_nodes:
+            return best, nodes, True
+        new_closed = closed[-1] | masks[path[-1]] | low
+        new_used = used[-1] | 1 << colors[x]
+        path.append(x)
+        closed.append(new_closed)
+        used.append(new_used)
+        cands.append(masks[x] & ~new_closed)
+        count = new_used.bit_count()
+        if count > best_count or (count == best_count and len(path) < len(best)):
+            best = path.copy()
+            best_count = count
+        # optimistic bound: colors still visible outside the closed set
+        avail = 0
+        rest = ~new_closed & ((1 << n) - 1)
+        for v in _bits(rest):
+            avail |= 1 << colors[v]
+        if count + (avail & ~new_used).bit_count() < best_count:
+            path.pop()
+            closed.pop()
+            used.pop()
+            cands.pop()
+    return best, nodes, False
+
+
 def longest_induced_path(g: Graph, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """A maximum-order induced path of g (exact unless the budget ran out).
 
@@ -83,11 +220,7 @@ def longest_induced_path(g: Graph, budget: SearchBudget = SearchBudget()) -> Sea
     with its smaller endpoint first.
     """
     _check_budget(g, budget)
-    if use_jit(g.n):
-        masks = np.array(g.masks, dtype=np.int64)
-        ln, arr, nodes, exceeded = _kernels_jit.longest_induced_path(masks, g.n, budget.max_nodes)
-        return _finish([int(v) for v in arr[:ln]], int(nodes), bool(exceeded), budget)
-    raw, nodes, exceeded = _kernels_py.longest_induced_path(g.masks, g.n, budget.max_nodes)
+    raw, nodes, exceeded = _search_induced_path(g.masks, g.n, budget.max_nodes)
     return _finish(raw, nodes, exceeded, budget)
 
 
@@ -95,16 +228,8 @@ def longest_induced_rainbow_path(cg: ColoredGraph, budget: SearchBudget = Search
     """A maximum-order induced path whose vertices have pairwise distinct colors."""
     g = cg.graph
     _check_budget(g, budget)
-    dense, palette = _dense_colors(cg)
-    if use_jit(g.n, palette):
-        masks = np.array(g.masks, dtype=np.int64)
-        carr = np.array(dense, dtype=np.int64)
-        ln, arr, nodes, exceeded = _kernels_jit.longest_induced_rainbow_path(
-            masks, g.n, carr, budget.max_nodes
-        )
-        return _finish([int(v) for v in arr[:ln]], int(nodes), bool(exceeded), budget)
-    raw, nodes, exceeded = _kernels_py.longest_induced_rainbow_path(
-        g.masks, g.n, dense, budget.max_nodes
+    raw, nodes, exceeded = _search_rainbow_path(
+        g.masks, g.n, _dense_colors(cg), budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget)
 
@@ -118,17 +243,8 @@ def max_colorful_induced_path_from(
     if not 0 <= start < g.n:
         raise GraphError(f"start vertex {start} not in graph")
     _check_budget(g, budget)
-    dense, palette = _dense_colors(cg)
-    if use_jit(g.n, palette):
-        masks = np.array(g.masks, dtype=np.int64)
-        carr = np.array(dense, dtype=np.int64)
-        ln, arr, nodes, exceeded = _kernels_jit.most_colorful_path_from(
-            masks, g.n, carr, start, budget.max_nodes
-        )
-        return _finish([int(v) for v in arr[:ln]], int(nodes), bool(exceeded), budget,
-                       normalize=False)
-    raw, nodes, exceeded = _kernels_py.most_colorful_path_from(
-        g.masks, g.n, dense, start, budget.max_nodes
+    raw, nodes, exceeded = _search_most_colorful(
+        g.masks, g.n, _dense_colors(cg), start, budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget, normalize=False)
 

@@ -1,10 +1,15 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbowpath
 from rainbowpath import (
     BudgetExceededError,
     ColoredGraph,
@@ -24,15 +29,14 @@ from rainbowpath import (
     orient_by_color,
     random_triangle_free,
 )
-from rainbowpath import _kernels_jit, _kernels_py
-from rainbowpath.backend import ENV_VAR
-from rainbowpath.oracle import _dense_colors
 from helpers import (
     naive_longest_induced_path_order,
     naive_longest_induced_rainbow_path_order,
     naive_most_colorful_from,
 )
 from test_graphs import graphs
+
+DATA = Path(__file__).parent / "data"
 
 
 @st.composite
@@ -88,6 +92,13 @@ class TestLongestInducedRainbowPath:
     def test_single_vertex(self):
         cg = ColoredGraph(build_graph(1, []), Coloring((1,)))
         assert longest_induced_rainbow_path(cg).path.order == 1
+
+    def test_handles_oversized_palettes(self):
+        # 70 vertices and 70 colors: more than a 64-bit mask holds
+        g = build_graph(70, [(i, i + 1) for i in range(69)])
+        cg = ColoredGraph(g, Coloring(tuple(range(1, 71))))
+        budget = SearchBudget(max_vertices=70)
+        assert longest_induced_rainbow_path(cg, budget).path.order == 70
 
     @given(colored_graphs())
     @settings(max_examples=60, deadline=None)
@@ -155,10 +166,6 @@ class TestRainbowPaletteExit:
         for g in (build_graph(1, []), build_graph(3, [])):
             result = longest_induced_rainbow_path(ColoredGraph(g, Coloring((1,) * g.n)))
             assert result.path.vertices == (0,) and result.exact and result.nodes == 0
-            ln, arr, nodes, exceeded = _kernels_jit.longest_induced_rainbow_path(
-                np.array(g.masks, dtype=np.int64), g.n, np.zeros(g.n, np.int64), 1
-            )
-            assert (ln, list(arr[:ln]), nodes, exceeded) == (1, [0], 0, False)
 
 
 class TestMaxColorfulFrom:
@@ -256,98 +263,46 @@ class TestBudgets:
             SearchBudget(on_exceed="ignore")
 
 
-class TestBackends:
-    """The JIT kernels must reproduce the pure kernels exactly."""
+class TestFrozenSearches:
+    """(vertices, nodes, exact) of the three searches, frozen before the
+    search loops moved into oracle.py.
 
-    def _with_backend(self, monkeypatch, name):
-        monkeypatch.setenv(ENV_VAR, name)
+    Inputs: random_triangle_free(12, 0.4, seed) for seeds 0-7, under DSATUR
+    colors (the rainbow search reaches the palette) and all-distinct colors
+    (it never does). Each search runs at the full budget, then at half its
+    own node count with on_exceed='flag', so the cut-off best path and the
+    node accounting are pinned as well.
+    """
+
+    SEARCHES = {
+        "induced_path": lambda cg, budget: longest_induced_path(cg.graph, budget),
+        "rainbow": longest_induced_rainbow_path,
+        "most_colorful": lambda cg, budget: max_colorful_induced_path_from(cg, 0, budget),
+    }
+    CASES = json.loads((DATA / "frozen_searches.json").read_text(encoding="ascii"))
 
     @staticmethod
-    def _twin_runs(g, dense, budgets):
-        """(path, nodes, exceeded) of the three searches from _kernels_py and
-        from _kernels_jit, each fed the inputs oracle packs for it; budgets
-        holds the node budget of each search in that order."""
-        lip, rainbow, colorful = budgets
-        pure = [
-            _kernels_py.longest_induced_path(g.masks, g.n, lip),
-            _kernels_py.longest_induced_rainbow_path(g.masks, g.n, dense, rainbow),
-            _kernels_py.most_colorful_path_from(g.masks, g.n, dense, 0, colorful),
-        ]
-        masks = np.array(g.masks, dtype=np.int64)
-        colors = np.array(dense, dtype=np.int64)
-        jit = [
-            ([int(v) for v in arr[:ln]], int(nodes), bool(exceeded))
-            for ln, arr, nodes, exceeded in (
-                _kernels_jit.longest_induced_path(masks, g.n, lip),
-                _kernels_jit.longest_induced_rainbow_path(masks, g.n, colors, rainbow),
-                _kernels_jit.most_colorful_path_from(masks, g.n, colors, 0, colorful),
-            )
-        ]
-        return pure, jit
+    def _record(result):
+        return [list(result.path.vertices), result.nodes, result.exact]
 
-    # All-distinct colors take color masks past bit 7, where the interpreted
-    # _popcount wraps with a RuntimeWarning (see the _kernels_jit docstring).
-    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
-    @pytest.mark.parametrize("seed", range(8))
-    def test_backends_agree(self, seed):
-        # Calls both kernel modules directly: with numba installed this checks
-        # the compiled kernels, without it the same source run interpreted.
-        g = random_triangle_free(12, 0.4, seed=seed)
-        # Under DSATUR colors the rainbow search stops at a path that uses
-        # every color; under all-distinct colors no induced path of these
-        # graphs has 12 vertices, so it searches to the end.
-        for coloring, palette_reached in ((dsatur_coloring(g), True),
-                                          (Coloring(tuple(range(1, g.n + 1))), False)):
-            dense, palette = _dense_colors(ColoredGraph(g, coloring))
-            pure, jit = self._twin_runs(g, dense, (SearchBudget().max_nodes,) * 3)
-            # identical paths AND identical node accounting: the kernels must be twins
-            assert jit == pure
-            assert not any(exceeded for _, _, exceeded in pure)
-            assert (len(pure[1][0]) == palette) == palette_reached
-            # half of each search's own node count cuts it short, so the
-            # exceeded flag and the partial best are compared as well
-            pure, jit = self._twin_runs(g, dense, [nodes // 2 for _, nodes, _ in pure])
-            assert jit == pure
-            assert all(exceeded for _, _, exceeded in pure)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_backends_agree_via_oracle(self, monkeypatch, seed):
-        # the public searches under RAINBOWPATH_BACKEND: dispatch and the
-        # int64 round trip in oracle, which needs the real compiled backend
-        pytest.importorskip("numba")
-        g = random_triangle_free(12, 0.4, seed=seed)
-        cg = ColoredGraph(g, dsatur_coloring(g))
-        results = {}
-        for name in ("pure", "numba"):
-            self._with_backend(monkeypatch, name)
-            results[name] = [
-                (r.path, r.nodes)
-                for r in (
-                    longest_induced_path(g),
-                    longest_induced_rainbow_path(cg),
-                    max_colorful_induced_path_from(cg, 0),
-                )
-            ]
-        # identical paths AND identical node accounting: the kernels must be twins
-        assert results["pure"] == results["numba"]
-
-    def test_pure_handles_oversized_palettes(self, monkeypatch):
-        self._with_backend(monkeypatch, "auto")
-        g = build_graph(70, [(i, i + 1) for i in range(69)])
-        cg = ColoredGraph(g, Coloring(tuple(range(1, 71))))
-        budget = SearchBudget(max_vertices=70)
-        assert longest_induced_rainbow_path(cg, budget).path.order == 70
-
-    def test_forced_numba_cap(self, monkeypatch):
-        self._with_backend(monkeypatch, "numba")
-        g = build_graph(70, [(i, i + 1) for i in range(69)])
-        with pytest.raises(RuntimeError, match="too large"):
-            longest_induced_path(g, SearchBudget(max_vertices=70))
-
-    def test_bad_flag_rejected(self, monkeypatch):
-        self._with_backend(monkeypatch, "jitted")
-        with pytest.raises(ValueError):
-            longest_induced_path(build_graph(1, []))
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[f"{c['seed']}-{c['coloring']}-{c['search']}" for c in CASES]
+    )
+    def test_search_unchanged(self, case):
+        g = random_triangle_free(12, 0.4, seed=case["seed"])
+        coloring = {
+            "dsatur": dsatur_coloring(g),
+            "distinct": Coloring(tuple(range(1, g.n + 1))),
+        }[case["coloring"]]
+        search = self.SEARCHES[case["search"]]
+        cg = ColoredGraph(g, coloring)
+        full = search(cg, SearchBudget())
+        assert self._record(full) == case["full"]
+        if case["search"] == "rainbow":
+            reached = full.path.order == coloring.palette_size
+            assert reached == (case["coloring"] == "dsatur")
+        half = search(cg, SearchBudget(max_nodes=max(1, full.nodes // 2), on_exceed="flag"))
+        assert self._record(half) == case["half"]
 
 
 class TestRelabelInvariance:
@@ -371,3 +326,13 @@ class TestRelabelInvariance:
             longest_induced_rainbow_path(cg).path.order
             == longest_induced_rainbow_path(rcg).path.order
         )
+
+
+def test_import_has_no_heavy_dependencies():
+    # the searches are plain Python over int bitmasks, so importing the
+    # package in a fresh interpreter loads no array library
+    env = {**os.environ, "PYTHONPATH": str(Path(rainbowpath.__file__).parents[1])}
+    code = 'import sys, rainbowpath; assert "numpy" not in sys.modules'
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
