@@ -3,8 +3,15 @@ and canonical enumeration of proper colorings.
 
 The exact solver decides k-colorability for increasing k between a
 clique/odd-cycle lower bound and the DSATUR upper bound, so the returned
-chi is proved optimal. Results are memoized per graph; Graph is immutable
-and hashable, which makes the cache safe.
+chi is proved optimal. Each k-colorability search is a backtracking DSATUR
+search with a fixed contract: the uncolored vertex with the most forbidden
+colors goes first, then higher degree, then smaller id; colors are tried in
+ascending order, and a vertex may open at most one fresh color; a branch
+fails as soon as some uncolored neighbor has all k colors forbidden. The
+witness is the first coloring this search finds.
+
+Results are memoized per graph, whatever the vertex cap of the call; Graph
+is immutable and hashable, which makes the cache safe.
 """
 
 from __future__ import annotations
@@ -104,64 +111,109 @@ def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
 
 
 def _k_colorable(g: Graph, k: int) -> Coloring | None:
-    """Backtracking k-colorability with DSATUR vertex choice and color-class
-    symmetry breaking (a vertex may open at most one fresh color)."""
-    n = g.n
-    colors = [0] * n
-    forbidden = [0] * n  # bitmask of colors 1..k already used by neighbors
+    """A proper coloring of g with colors 1..k, or None if there is none.
 
-    def pick() -> int:
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colors[v]:
-                continue
-            key = (-forbidden[v].bit_count(), -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
+    Backtracking with DSATUR vertex choice (Brelaz 1979). The search
+    contract, which tests/test_chromatic.py::TestFrozenColorability pins:
+
+    - the next vertex is the uncolored one with the most forbidden colors
+      (colors on colored neighbors), then higher degree, then smaller id;
+    - its colors are tried in ascending order, and it may open at most one
+      fresh color (one above the largest color used so far), so no two
+      branches differ by a renaming of colors;
+    - a branch fails as soon as some uncolored neighbor has all k colors
+      forbidden.
+
+    The first coloring found is returned. Vertices are relabelled once by
+    their static rank (-degree, id), and the uncolored vertices are kept in
+    one bitmask per saturation level, so the choice is the lowest set bit of
+    the highest non-empty level: each node costs O(k + deg v), not O(n).
+    """
+    n = g.n
+    if n == 0:
+        return Coloring(())
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    nbrs = [tuple(rank[u] for u in _bits(g.masks[v])) for v in order]
+    colors = [0] * n
+    # forbidden[v]: colors 1..k on colored neighbors of v, as a bitmask;
+    # every bit is set while v itself is colored, so no update reaches it.
+    forbidden = [0] * n
+    all_colors = ((1 << k) - 1) << 1
+    saturation = [0] * n
+    # level[s]: uncolored vertices with s forbidden colors, as a rank bitmask
+    level = [0] * (k + 1)
+    level[0] = (1 << n) - 1
+    top = range(k - 1, -1, -1)
 
     def assign(v: int, used: int) -> bool:
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            if forbidden[v] >> c & 1:
+        bit = 1 << v
+        allowed = ~forbidden[v]
+        level[saturation[v]] ^= bit
+        forbidden[v] = all_colors
+        for c in range(1, min(used + 1, k) + 1):
+            cbit = 1 << c
+            if not allowed & cbit:
                 continue
             colors[v] = c
             touched = []
             ok = True
-            for u in _bits(g.masks[v]):
-                if not colors[u] and not forbidden[u] >> c & 1:
-                    forbidden[u] |= 1 << c
-                    touched.append(u)
-                    if forbidden[u].bit_count() >= k:
-                        ok = False
+            for u in nbrs[v]:
+                if forbidden[u] & cbit:
+                    continue
+                forbidden[u] |= cbit
+                ubit = 1 << u
+                s = saturation[u]
+                level[s] ^= ubit
+                s += 1
+                saturation[u] = s
+                level[s] |= ubit
+                touched.append(u)
+                if s == k:
+                    ok = False
             if ok:
-                nxt = pick()
-                if nxt == -1:
-                    return True
-                if assign(nxt, max(used, c)):
+                for s in top:
+                    m = level[s]
+                    if m:
+                        if assign((m & -m).bit_length() - 1, max(used, c)):
+                            return True
+                        break
+                else:
                     return True
             for u in touched:
-                forbidden[u] &= ~(1 << c)
-            colors[v] = 0
+                forbidden[u] ^= cbit
+                ubit = 1 << u
+                s = saturation[u]
+                level[s] ^= ubit
+                s -= 1
+                saturation[u] = s
+                level[s] |= ubit
+        forbidden[v] = ~allowed
+        level[saturation[v]] |= bit
         return False
 
-    if n == 0:
-        return Coloring(())
-    first = pick()
-    if assign(first, 0):
-        return Coloring(tuple(colors))
-    return None
+    # every saturation is 0, so the first choice is rank 0
+    if not assign(0, 0):
+        return None
+    return Coloring(tuple(colors[rank[v]] for v in range(n)))
 
 
-@functools.lru_cache(maxsize=200_000)
 def chromatic_number(g: Graph, max_vertices: int = 64) -> ChromaticResult:
     """Exact chromatic number with optimal witness, proved by k-colorability search.
 
-    Raises TooLargeError if g has more than max_vertices vertices. The empty
-    graph gets chi = 0 with an empty witness.
+    Raises TooLargeError if g has more than max_vertices vertices; the cap is
+    checked on every call, and the result is cached per graph whatever the
+    cap. The empty graph gets chi = 0 with an empty witness.
     """
     if g.n > max_vertices:
         raise TooLargeError(f"{g.n} vertices is too large for exact search (cap {max_vertices})")
+    return _chromatic_number(g)
+
+
+@functools.lru_cache(maxsize=200_000)
+def _chromatic_number(g: Graph) -> ChromaticResult:
     if g.n == 0:
         return ChromaticResult(0, Coloring(()))
     if g.edge_count == 0:
@@ -184,6 +236,11 @@ def chromatic_number(g: Graph, max_vertices: int = 64) -> ChromaticResult:
         if witness is not None:
             return ChromaticResult(k, witness, certificate)
     return ChromaticResult(upper.palette_size, upper, certificate)
+
+
+# The cache statistics of chromatic_number are those of the per-graph cache.
+chromatic_number.cache_info = _chromatic_number.cache_info  # type: ignore[attr-defined]
+chromatic_number.cache_clear = _chromatic_number.cache_clear  # type: ignore[attr-defined]
 
 
 def canonical_form(coloring: Coloring) -> Coloring:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,10 @@ from rainbowpath import (
     enumerate_colorings,
     is_proper,
     iter_colorings,
+    mycielski_iterates,
+    random_triangle_free,
 )
-from rainbowpath.chromatic import TooLargeError
+from rainbowpath.chromatic import TooLargeError, _k_colorable
 from helpers import is_bipartite_bfs, naive_canonical_colorings, naive_chromatic_number
 from test_graphs import graphs
 
@@ -59,6 +64,29 @@ class TestChromaticNumber:
         with pytest.raises(TooLargeError):
             chromatic_number(build_graph(70, []), max_vertices=64)
 
+    def test_cap_checked_on_cached_graph(self):
+        g = random_triangle_free(12, 0.3, seed=101)
+        chromatic_number(g)
+        with pytest.raises(TooLargeError):
+            chromatic_number(g, max_vertices=10)
+
+    def test_one_search_per_graph_whatever_the_call_style(self):
+        g = random_triangle_free(13, 0.3, seed=102)
+        before = chromatic_number.cache_info()
+        results = {chromatic_number(g), chromatic_number(g, max_vertices=64), chromatic_number(g, 64)}
+        after = chromatic_number.cache_info()
+        assert len(results) == 1
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+
+    @pytest.mark.parametrize("depth", range(4))
+    def test_mycielski_iterates(self, depth):
+        g = mycielski_iterates(depth)[-1]
+        result = chromatic_number(g)
+        assert result.chi == depth + 2
+        assert is_proper(g, result.witness)
+        assert result.witness.palette_size == result.chi
+
     @given(graphs(max_n=7))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
@@ -83,6 +111,34 @@ class TestChromaticNumber:
         rest = [u for u in range(g.n) if u != v]
         smaller = induced_subgraph(g, rest).graph
         assert chromatic_number(smaller).chi <= chromatic_number(g).chi
+
+
+class TestFrozenColorability:
+    """_k_colorable(g, k), the witness colors or None, frozen before the
+    search moved to saturation-level bitmasks.
+
+    Inputs: random_triangle_free(n, 0.35, seed) for n = 14..28 even and
+    seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 2..5. The first
+    coloring found depends on every vertex and color choice the search
+    makes, so equal witnesses pin the search tree.
+    """
+
+    CASES = json.loads((Path(__file__).parent / "data" / "frozen_colorability.json").read_text(encoding="ascii"))
+
+    @staticmethod
+    def _graph(case):
+        if case["graph"] == "random":
+            return random_triangle_free(case["n"], 0.35, seed=case["seed"])
+        return mycielski_iterates({"grotzsch": 2, "mycielski3": 3}[case["graph"]])[-1]
+
+    @pytest.mark.parametrize(
+        "case",
+        CASES,
+        ids=[f"{c['graph']}-{c.get('n', '')}-{c.get('seed', '')}-k{c['k']}" for c in CASES],
+    )
+    def test_witness_unchanged(self, case):
+        witness = _k_colorable(self._graph(case), case["k"])
+        assert (None if witness is None else list(witness.colors)) == case["colors"]
 
 
 class TestEnumerateColorings:
