@@ -184,8 +184,7 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = decode_graph6(args.graph6)
-    budget = SearchBudget(max_vertices=max(25, g.n), max_nodes=args.budget,
-                          on_exceed="flag")
+    budget = SearchBudget(max_nodes=args.budget, on_exceed="flag")
     lip = longest_induced_path(g, budget)
     print(f"longest induced path: {list(lip.path.vertices)} "
           f"(order {lip.path.order}, exact={lip.exact})")

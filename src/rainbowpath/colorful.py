@@ -134,23 +134,18 @@ def _recurse(cg: ColoredGraph, chi: Callable[[int], int], active: int, v: int, c
     c1 = max(_mask_components(masks, remaining), key=chi)
     p = _mask_shortest_path(masks, active, v, c1)
     w = p[-2]
-    fan = masks[w] & c1
-    if any(masks[a] & fan for a in _bits(fan)):
-        raise GraphError("fan is not independent; graph has a triangle")
-
+    fan = masks[w] & c1  # independent: the graph is triangle-free
     pruned = c1 & ~fan
     if not pruned:
         raise GraphError("component vanished after fan removal; chi_lb overstated")
     c2 = max(_mask_components(masks, pruned), key=chi)
 
-    bridge = next((u for u in _bits(fan) if masks[u] & c2), -1)
-    if bridge == -1:
-        raise GraphError("no fan vertex reaches the second component")
+    # c1 is connected and the fan is not empty, so some fan vertex meets c2
+    bridge = next(u for u in _bits(fan) if masks[u] & c2)
 
+    # q lies inside c2 and the bridge, which avoid the removed color
     recursed = c2 | 1 << bridge
     q = _recurse(cg, chi, recursed, bridge, chi_lb - 2, level + 1, steps, strict)
-    if any(colors[u] == c for u in q):
-        raise GraphError("recursive path reused the removed color")
 
     assembled = p[:-1] + q
     steps.append(

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .chromatic import chromatic_number
 from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, classify_path, induced_subgraph
-from .oracle import SearchBudget, longest_induced_path
+from .oracle import SearchBudget, _color_orientation, _longest_directed_path, longest_induced_path
 
 
 class GradingError(GraphError):
@@ -141,25 +141,19 @@ class ColorClassPartition:
 
 
 def refine_grading(cg: ColoredGraph, grading: Grading) -> ColorClassPartition:
-    """Split V into k classes by the per-part coloring of each vertex."""
-    g = cg.graph
-    validate_grading(g, grading)
+    """Split V into k classes by the per-part coloring of each vertex.
+
+    validate_grading proves each part coloring proper, so each class meets
+    each part in an independent set.
+    """
+    validate_grading(cg.graph, grading)
     buckets: list[list[int]] = [[] for _ in range(grading.k)]
     origin: dict[int, tuple[int, int]] = {}
     for i, (part, coloring) in enumerate(zip(grading.parts, grading.part_colorings)):
         for v, c in zip(part, coloring):
             buckets[c - 1].append(v)
             origin[v] = (i, c - 1)
-    classes = tuple(tuple(sorted(b)) for b in buckets)
-    for j, cls in enumerate(classes):
-        members = set(cls)
-        for u in cls:
-            for w in _bits(g.masks[u]):
-                if w in members and origin[w][0] == origin[u][0]:
-                    raise GradingError(
-                        f"class {j} meets part {origin[u][0]} in a dependent set"
-                    )
-    return ColorClassPartition(classes=classes, origin=origin)
+    return ColorClassPartition(classes=tuple(tuple(sorted(b)) for b in buckets), origin=origin)
 
 
 class OutcomeKind(Enum):
@@ -230,52 +224,22 @@ def verify_witness_outcome(cg: ColoredGraph, grading: Grading, witness: Witness,
     )
 
 
-def _longest_arc_path(vertices: tuple[int, ...], arcs: list[tuple[int, int]],
-                      cg: ColoredGraph) -> tuple[int, ...]:
-    """Longest directed path in an arc subset whose arcs increase color.
+def _later_neighbors(path_vertices: tuple[int, ...], arcs: list[tuple[int, int]],
+                     outgoing: bool) -> dict[int, list[int]]:
+    """Arc-neighbors of each path vertex inside the path's vertex set.
 
-    Dynamic programming in color-sorted order; ties resolved toward the
-    smallest vertex id.
-    """
-    if not vertices:
-        return ()
-    preds: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in arcs:
-        preds[v].append(u)
-    order = sorted(vertices, key=lambda v: (cg.color_of(v), v))
-    dp = {v: 1 for v in vertices}
-    back: dict[int, int] = {v: -1 for v in vertices}
-    for v in order:
-        for u in sorted(preds[v]):
-            if dp[u] + 1 > dp[v]:
-                dp[v] = dp[u] + 1
-                back[v] = u
-    end = max(order, key=lambda v: (dp[v], -v))
-    rev = [end]
-    while back[rev[-1]] != -1:
-        rev.append(back[rev[-1]])
-    return tuple(reversed(rev))
-
-
-def _scan_for_witness(path_vertices: tuple[int, ...], arcs: list[tuple[int, int]],
-                      outgoing: bool, s: int) -> Witness | None:
-    """Look for a path vertex with >= s arc-neighbors inside the path set.
-
-    outgoing=True counts arc tails (forward side), else arc heads (backward
+    outgoing=True takes arc heads (forward side), else arc tails (backward
     side); both directions point at strictly later grading parts.
     """
     members = set(path_vertices)
-    fan: dict[int, list[int]] = {v: [] for v in path_vertices}
-    for u, v in arcs:
-        if u in members and v in members:
+    out: dict[int, list[int]] = {v: [] for v in path_vertices}
+    for u, w in arcs:
+        if u in members and w in members:
             if outgoing:
-                fan[u].append(v)
+                out[u].append(w)
             else:
-                fan[v].append(u)
-    for v in path_vertices:
-        if len(fan[v]) >= s:
-            return Witness(vertex=v, later_neighbors=tuple(sorted(fan[v])[:s]))
-    return None
+                out[w].append(u)
+    return out
 
 
 def _bfs_levels(root: int, adjacency: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, int]]:
@@ -336,22 +300,21 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace)
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
     class_vertices = partition.classes[j]
-    members = set(class_vertices)
-
-    arcs = []
-    for u in class_vertices:
-        for w in _bits(g.masks[u]):
-            if w in members and cg.color_of(u) < cg.color_of(w):
-                arcs.append((u, w))
-    arcs.sort()
+    orientation = _color_orientation(g.masks, cg.coloring.colors,
+                                     sum(1 << v for v in class_vertices))
+    arcs = sorted((u, w) for w, ins in orientation for u in _bits(ins))
 
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
-    pos = {v: i for i, v in enumerate(pi_order)}
-    forward_arcs = [(u, w) for u, w in arcs if pos[u] < pos[w]]
-    backward_arcs = [(u, w) for u, w in arcs if pos[u] > pos[w]]
+    earlier: dict[int, int] = {}  # vertex -> mask of the class vertices before it in pi_order
+    seen = 0
+    for v in pi_order:
+        earlier[v] = seen
+        seen |= 1 << v
+    forward_arcs = [(u, w) for u, w in arcs if earlier[w] >> u & 1]
+    backward_arcs = [(u, w) for u, w in arcs if not earlier[w] >> u & 1]
 
-    forward_path = _longest_arc_path(class_vertices, forward_arcs, cg)
-    backward_path = _longest_arc_path(class_vertices, backward_arcs, cg)
+    forward_path = _longest_directed_path([(w, ins & earlier[w]) for w, ins in orientation])
+    backward_path = _longest_directed_path([(w, ins & ~earlier[w]) for w, ins in orientation])
 
     bfs_attempts: list[BfsAttempt] = []
 
@@ -372,28 +335,22 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         )
         return GradingOutcome(kind, path, witness, trace)
 
-    for path_vertices, side_arcs, outgoing in (
-        (forward_path, forward_arcs, True),
-        (backward_path, backward_arcs, False),
-    ):
-        witness = _scan_for_witness(path_vertices, side_arcs, outgoing, s)
-        if witness is not None and verify_witness_outcome(cg, grading, witness, s):
-            return finish(OutcomeKind.WITNESS, None, witness, False)
+    sides = [
+        (side, path_vertices, outgoing, _later_neighbors(path_vertices, side_arcs, outgoing))
+        for side, path_vertices, side_arcs, outgoing in (
+            ("forward", forward_path, forward_arcs, True),
+            ("backward", backward_path, backward_arcs, False),
+        )
+    ]
+    for _, path_vertices, _, adjacency in sides:
+        v = next((v for v in path_vertices if len(adjacency[v]) >= s), None)
+        if v is not None:
+            witness = Witness(vertex=v, later_neighbors=tuple(sorted(adjacency[v])[:s]))
+            if verify_witness_outcome(cg, grading, witness, s):
+                return finish(OutcomeKind.WITNESS, None, witness, False)
 
-    for side, path_vertices, side_arcs, outgoing in (
-        ("forward", forward_path, forward_arcs, True),
-        ("backward", backward_path, backward_arcs, False),
-    ):
-        if not path_vertices:
-            continue
-        inside = set(path_vertices)
-        adjacency: dict[int, list[int]] = {v: [] for v in path_vertices}
-        for u, w in side_arcs:
-            if u in inside and w in inside:
-                if outgoing:
-                    adjacency[u].append(w)
-                else:
-                    adjacency[w].append(u)
+    # the chosen class is not empty, so both paths have a vertex
+    for side, path_vertices, outgoing, adjacency in sides:
         root = path_vertices[0] if outgoing else path_vertices[-1]
         depth, parent = _bfs_levels(root, adjacency)
         max_depth = max(depth.values())
@@ -413,8 +370,7 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         # the parent path picked up a chord in G: search the (rainbow)
         # path set exhaustively instead
         sub = induced_subgraph(g, path_vertices)
-        budget = SearchBudget(max_vertices=max(25, sub.graph.n), on_exceed="flag")
-        result = longest_induced_path(sub.graph, budget)
+        result = longest_induced_path(sub.graph, SearchBudget(on_exceed="flag"))
         if result.path.order >= s:
             mapped = tuple(sub.to_parent[v] for v in result.path.vertices[:s])
             candidate = Path(mapped)

@@ -112,11 +112,16 @@ class Coloring:
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """True iff no edge of g is monochromatic. The coloring must be total."""
+    """True iff no edge of g is monochromatic. The coloring must be total.
+
+    O(n): each vertex's neighbor mask is tested against its color class mask.
+    """
     if coloring.n != g.n:
         raise GraphError(f"coloring covers {coloring.n} vertices, graph has {g.n}")
-    c = coloring.colors
-    return all(c[u] != c[v] for u, v in g.edges())
+    classes: dict[int, int] = {}
+    for v, c in enumerate(coloring.colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(m & classes[c] for m, c in zip(g.masks, coloring.colors))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 
-from .chromatic import canonical_form, chromatic_number, iter_colorings
+from .chromatic import TooLargeError, canonical_form, chromatic_number, iter_colorings
 from .colorful import colorful_path_from
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, iter_corpus
 from .graphs import (
@@ -47,12 +47,10 @@ class HarnessConfig:
     parallelism: int = 1
     seed: int = 0
     thorough: bool = False
-    abort_on_malformed: bool = False
-    chi_cap: int = 64
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.coloring_cap < 1 or self.parallelism < 1 or self.chi_cap < 1:
+        if self.coloring_cap < 1 or self.parallelism < 1:
             raise GraphError("harness caps must be positive")
         if self.max_colors_delta < 0 or self.extra_samples < 0:
             raise GraphError("deltas and sample counts must be non-negative")
@@ -151,7 +149,7 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     """
     if not is_triangle_free(g):
         raise GraphError(f"{graph_id}: graph contains a triangle")
-    chi = chromatic_number(g, max_vertices=cfg.chi_cap).chi
+    chi = chromatic_number(g).chi
     max_colors = chi + cfg.max_colors_delta
 
     colorings: list[Coloring] = []
@@ -270,7 +268,10 @@ def _check_line(args: tuple[str, str, HarnessConfig]) -> tuple[str, str | None, 
         return graph_id, None, f"malformed graph6: {exc}"
     if not is_triangle_free(g):
         return graph_id, None, "graph contains a triangle"
-    report = check_graph(g, cfg, graph_id)
+    try:
+        report = check_graph(g, cfg, graph_id)
+    except TooLargeError as exc:
+        return graph_id, None, str(exc)
     return graph_id, report_to_json(report), None
 
 
@@ -278,8 +279,9 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
     """Process a graph6 corpus file, appending one JSON report per line to
     cfg.output_path (default: '<corpus>.reports.jsonl').
 
-    Non-triangle-free and malformed lines are skipped with a warning unless
-    abort_on_malformed is set. Deterministic for a fixed config and seed.
+    Malformed lines, graphs with a triangle and graphs above the exact
+    chromatic search's vertex cap are skipped with a warning. Deterministic
+    for a fixed config and seed.
     """
     started = time.perf_counter()
     out_path = cfg.output_path or f"{path}.reports.jsonl"
@@ -295,8 +297,6 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
     with open(out_path, "w", encoding="ascii") as out:
         for graph_id, line, skip_reason in results:
             if skip_reason is not None:
-                if "malformed" in skip_reason and cfg.abort_on_malformed:
-                    raise Graph6Error(f"{graph_id}: {skip_reason}")
                 log.warning("%s skipped: %s", graph_id, skip_reason)
                 summary.skipped.append(f"{graph_id}: {skip_reason}")
                 continue

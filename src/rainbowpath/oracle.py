@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, Graph, GraphError, Path, _bits
+from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _lowest
 
 
 class BudgetExceededError(GraphError):
@@ -26,7 +26,12 @@ class BudgetExceededError(GraphError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the exact searches. on_exceed is 'error' or 'flag'."""
+    """Caps for the exact searches. on_exceed is 'error' or 'flag'.
+
+    max_vertices applies only when on_exceed is 'error': a larger graph is
+    then refused before the search starts. In 'flag' mode only max_nodes
+    cuts a search short, and the result is marked inexact.
+    """
 
     max_vertices: int = 25
     max_nodes: int = 10**8
@@ -249,24 +254,64 @@ def max_colorful_induced_path_from(
     return _finish(raw, nodes, exceeded, budget, normalize=False)
 
 
+def _color_orientation(masks: tuple[int, ...], colors: tuple[int, ...],
+                       subset: int) -> list[tuple[int, int]]:
+    """The color orientation of the subgraph induced by the vertex bitmask
+    subset: each edge points at its larger color.
+
+    Returns each vertex with the mask of its in-neighbors, in (color, id)
+    order. colors must be proper on the subgraph, so every edge gets a strict
+    direction and the order is topological.
+    """
+    classes: dict[int, int] = {}
+    for v in _bits(subset):
+        classes[colors[v]] = classes.get(colors[v], 0) | 1 << v
+    below = 0
+    out = []
+    for c in sorted(classes):
+        for v in _bits(classes[c]):
+            out.append((v, masks[v] & below))
+        below |= classes[c]
+    return out
+
+
+def _longest_directed_path(orientation: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Longest directed path of a non-empty acyclic orientation, given as
+    (vertex, in-neighbor mask) pairs in a topological order.
+
+    Each vertex extends the smallest-id longest path into it, and of the
+    longest paths the one ending at the smallest id wins.
+    """
+    levels: list[int] = []  # levels[i]: vertices ending a longest path of i + 1
+    pred: dict[int, int] = {}
+    for v, ins in orientation:
+        i = len(levels)
+        while i and not ins & levels[i - 1]:
+            i -= 1
+        if i == len(levels):
+            levels.append(0)
+        levels[i] |= 1 << v
+        pred[v] = _lowest(ins & levels[i - 1]) if i else -1
+    rev = [_lowest(levels[-1])]
+    while pred[rev[-1]] != -1:
+        rev.append(pred[rev[-1]])
+    return tuple(reversed(rev))
+
+
 def orient_by_color(cg: ColoredGraph) -> list[tuple[int, int]]:
-    """Arcs of the color orientation: each edge points at its larger color.
+    """Arcs of the color orientation, each edge pointing at its larger color,
+    in ascending order.
 
     The coloring is proper, so every edge gets a strict direction and the
     resulting digraph is acyclic (colors strictly increase along arcs).
     """
-    arcs = []
-    for u, v in cg.graph.edges():
-        if cg.color_of(u) < cg.color_of(v):
-            arcs.append((u, v))
-        else:
-            arcs.append((v, u))
-    return arcs
+    g = cg.graph
+    orientation = _color_orientation(g.masks, cg.coloring.colors, (1 << g.n) - 1)
+    return sorted((u, v) for v, ins in orientation for u in _bits(ins))
 
 
 def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
-    """Longest directed path of the color orientation, found by dynamic
-    programming in color-sorted order.
+    """Longest directed path of the color orientation.
 
     Colors strictly increase along the path, so it is rainbow; by the
     Gallai-Roy theorem its order is at least the chromatic number.
@@ -274,17 +319,5 @@ def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
     g = cg.graph
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
-    order = sorted(range(g.n), key=lambda v: (cg.color_of(v), v))
-    dp = [1] * g.n
-    pred = [-1] * g.n
-    for v in order:
-        cv = cg.color_of(v)
-        for u in _bits(g.masks[v]):
-            if cg.color_of(u) < cv and dp[u] + 1 > dp[v]:
-                dp[v] = dp[u] + 1
-                pred[v] = u
-    end = max(range(g.n), key=lambda v: (dp[v], -v))
-    rev = [end]
-    while pred[rev[-1]] != -1:
-        rev.append(pred[rev[-1]])
-    return Path(tuple(reversed(rev)))
+    orientation = _color_orientation(g.masks, cg.coloring.colors, (1 << g.n) - 1)
+    return Path(_longest_directed_path(orientation))

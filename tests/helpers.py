@@ -7,9 +7,10 @@ package's pruned bitmask searches.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
-from rainbowpath.graphs import ColoredGraph, Graph
+from rainbowpath.graphs import ColoredGraph, Coloring, Graph
 
 
 def adjacency_lists(g: Graph) -> list[list[int]]:
@@ -26,6 +27,29 @@ def is_induced_seq(g: Graph, seq: list[int]) -> bool:
             if g.has_edge(seq[i], seq[j]):
                 return False
     return True
+
+
+def naive_is_proper(g: Graph, coloring: Coloring) -> bool:
+    """No adjacent pair of vertices shares a color, checked pair by pair."""
+    c = coloring.colors
+    return not any(g.has_edge(u, v) and c[u] == c[v] for u, v in combinations(range(g.n), 2))
+
+
+def random_proper_coloring(g: Graph, rng: random.Random, spread: int = 200) -> Coloring:
+    """A random proper coloring with sparse color ids.
+
+    Vertices in random order each take a random color in 1..degree+1 not on
+    a colored neighbor; the colors used are then renamed to distinct random
+    ids in 1..spread, so ids are non-contiguous and may exceed 64.
+    """
+    order = list(range(g.n))
+    rng.shuffle(order)
+    colors = [0] * g.n
+    for v in order:
+        taken = {colors[u] for u in g.neighbors(v)}
+        colors[v] = rng.choice([c for c in range(1, g.degree(v) + 2) if c not in taken])
+    ids = rng.sample(range(1, spread + 1), max(colors, default=0))
+    return Coloring(tuple(ids[c - 1] for c in colors))
 
 
 def naive_triangle_free(g: Graph) -> bool:

@@ -1,4 +1,8 @@
+import dataclasses
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from rainbowpath import (
     classify_path,
     dsatur_coloring,
     grading_from_partition,
+    iter_colorings,
+    mycielski_iterates,
     rainbow_or_witness,
     random_triangle_free,
     refine_grading,
@@ -20,6 +26,10 @@ from rainbowpath import (
     whole_graph_grading,
 )
 from rainbowpath.grading import GradingError, verify_witness_outcome
+
+from helpers import random_proper_coloring
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_grading(g, rng):
@@ -200,3 +210,60 @@ class TestTraceInvariants:
         assert tr.class_chromatic_numbers[tr.class_index] == max(tr.class_chromatic_numbers)
         sub_chi = chromatic_number(c5).chi
         assert tr.class_chromatic_numbers == (sub_chi,)
+
+
+def procedure_case(seed):
+    """Inputs (cg, grading, s) of one frozen procedure run.
+
+    Seeds cycle through three kinds: Groetzsch or Mycielski-3 under one of
+    their first ten canonical optimal colorings with singleton parts;
+    random_triangle_free graphs under a random grading; and random graphs
+    with triangles under singleton parts, where the scan of the longest
+    paths' vertex sets finds witnesses. The random kinds take
+    helpers.random_proper_coloring.
+    """
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        depth = 2 + seed // 3 % 2
+        g = mycielski_iterates(3)[depth]
+        coloring = next(itertools.islice(iter_colorings(g, depth + 2), seed // 6, None))
+        return ColoredGraph(g, coloring), singleton_grading(g), 3 + seed // 6 % 3
+    if kind == 1:
+        g = random_triangle_free(rng.randint(6, 18), rng.uniform(0.2, 0.5), seed)
+        cg = ColoredGraph(g, random_proper_coloring(g, rng))
+        return cg, random_grading(g, rng), rng.choice((3, 4, 5))
+    n = rng.randint(6, 14)
+    p = rng.uniform(0.2, 0.7)
+    pairs = itertools.combinations(range(n), 2)
+    g = build_graph(n, [(u, v) for u, v in pairs if rng.random() < p])
+    cg = ColoredGraph(g, random_proper_coloring(g, rng))
+    return cg, singleton_grading(g), rng.choice((3, 4, 5))
+
+
+def outcome_record(outcome):
+    """The outcome and its full trace as plain JSON values."""
+    return json.loads(json.dumps({
+        "kind": outcome.kind.value,
+        "rainbow_path": outcome.rainbow_path.vertices if outcome.rainbow_path else None,
+        "witness": dataclasses.asdict(outcome.witness) if outcome.witness else None,
+        "trace": dataclasses.asdict(outcome.trace),
+    }))
+
+
+class TestFrozenProcedure:
+    """rainbow_or_witness outcomes and traces (arcs, forward and backward arcs
+    and paths, BFS attempts), frozen before the forward and backward paths
+    came from the DP that gallai_roy_rainbow_path uses.
+
+    Inputs: procedure_case(seed) for seeds 0-59. No BFS parent path needed
+    the exhaustive fallback on any of them.
+    """
+
+    CASES = [json.loads(line) for line in
+             (DATA / "frozen_grading.jsonl").read_text(encoding="ascii").splitlines()]
+
+    @pytest.mark.parametrize("case", CASES, ids=[str(c["seed"]) for c in CASES])
+    def test_outcome_and_trace_unchanged(self, case):
+        cg, grading, s = procedure_case(case["seed"])
+        assert outcome_record(rainbow_or_witness(cg, grading, s)) == case["record"]

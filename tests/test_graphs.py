@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,12 @@ from rainbowpath import (
     shortest_path_to_set,
 )
 from rainbowpath.graphs import _bits, _mask_components, _mask_shortest_path
-from helpers import naive_shortest_path_to_set, naive_triangle_free
+from helpers import (
+    naive_is_proper,
+    naive_shortest_path_to_set,
+    naive_triangle_free,
+    random_proper_coloring,
+)
 
 
 @st.composite
@@ -245,3 +253,28 @@ class TestIsProper:
     def test_nonpositive_color_rejected(self):
         with pytest.raises(GraphError):
             Coloring((0, 1))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_edge_walk(self, seed):
+        # random graphs with up to 20 vertices; color ids are sparse, some
+        # above 64, so the color-class masks are keyed on arbitrary ids
+        rng = random.Random(seed)
+        n = rng.randint(1, 20)
+        p = rng.uniform(0.1, 0.6)
+        g = build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                            if rng.random() < p])
+        proper = random_proper_coloring(g, rng)
+        assert is_proper(g, proper) and naive_is_proper(g, proper)
+        ColoredGraph(g, proper)
+        for palette in (2, 3, 5):
+            ids = rng.sample(range(1, 130), palette)
+            coloring = Coloring(tuple(rng.choice(ids) for _ in range(n)))
+            assert is_proper(g, coloring) == naive_is_proper(g, coloring)
+        for u, v in itertools.islice(g.edges(), 3):
+            # copy a neighbor's color onto one endpoint of an edge
+            colors = list(proper.colors)
+            colors[v] = colors[u]
+            clash = Coloring(tuple(colors))
+            assert not is_proper(g, clash) and not naive_is_proper(g, clash)
+            with pytest.raises(GraphError):
+                ColoredGraph(g, clash)

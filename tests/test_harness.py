@@ -113,13 +113,23 @@ class TestRunCorpus:
         summary = run_corpus(path, HarnessConfig(output_path=str(tmp_path / "o.jsonl")))
         assert summary.graphs_processed == 1
 
-    def test_malformed_line_skip_vs_abort(self, tmp_path, c5):
+    def test_malformed_line_skipped(self, tmp_path, c5):
         path = self.write(tmp_path, ["D?", encode_graph6(c5)])
         out = tmp_path / "out.jsonl"
         summary = run_corpus(path, HarnessConfig(output_path=str(out)))
         assert summary.graphs_processed == 1 and len(summary.skipped) == 1
-        with pytest.raises(GraphError):
-            run_corpus(path, HarnessConfig(output_path=str(out), abort_on_malformed=True))
+
+    def test_graph_beyond_chromatic_cap_skipped(self, tmp_path, c5):
+        # C65 is triangle-free but above the 64-vertex cap of the exact
+        # chromatic search: it is skipped with the reason, and C5's report
+        # is still written
+        path = self.write(tmp_path, [encode_graph6(c5), encode_graph6(cycle_graph(65))])
+        out = tmp_path / "out.jsonl"
+        summary = run_corpus(path, HarnessConfig(output_path=str(out)))
+        assert summary.graphs_processed == 1
+        assert summary.skipped == ["line2: 65 vertices is too large for exact search (cap 64)"]
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["n"] for r in reports] == [5]
 
     def test_mycielski_family_end_to_end(self, tmp_path):
         lines = [encode_graph6(g) for g in mycielski_iterates(2)]

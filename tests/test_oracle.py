@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from rainbowpath import (
     dsatur_coloring,
     gallai_roy_rainbow_path,
     is_triangle_free,
+    iter_colorings,
     longest_induced_path,
     longest_induced_rainbow_path,
     max_colorful_induced_path_from,
@@ -33,6 +35,7 @@ from helpers import (
     naive_longest_induced_path_order,
     naive_longest_induced_rainbow_path_order,
     naive_most_colorful_from,
+    random_proper_coloring,
 )
 from test_graphs import graphs
 
@@ -233,6 +236,41 @@ class TestGallaiRoy:
         assert path.order >= chromatic_number(cg.graph).chi
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert cg.graph.has_edge(a, b)
+
+
+class TestFrozenGallaiRoy:
+    """Vertices of gallai_roy_rainbow_path, frozen before it shared one
+    longest-path DP with the graded procedure's forward and backward paths.
+
+    Inputs: the mycielski-sweep benchmark graphs (K2 and its first three
+    Mycielski iterates) under their first 1000 canonical optimal colorings,
+    1526 colorings in all, and random_triangle_free(8 + seed % 10, 0.35, seed)
+    for seeds 0-29 under helpers.random_proper_coloring (sparse color ids,
+    some above 64, and more colors than chi, so ties between longest paths
+    are common).
+    """
+
+    FROZEN = json.loads((DATA / "frozen_gallai_roy.json").read_text(encoding="ascii"))
+
+    @staticmethod
+    def sweep_case(depth):
+        g = mycielski_iterates(3)[depth]
+        return [ColoredGraph(g, c) for c in itertools.islice(iter_colorings(g, depth + 2), 1000)]
+
+    @staticmethod
+    def random_case(seed):
+        g = random_triangle_free(8 + seed % 10, 0.35, seed=seed)
+        return ColoredGraph(g, random_proper_coloring(g, random.Random(seed)))
+
+    @pytest.mark.parametrize("depth", range(4))
+    def test_sweep_graphs(self, depth):
+        paths = [list(gallai_roy_rainbow_path(cg).vertices) for cg in self.sweep_case(depth)]
+        assert paths == self.FROZEN["sweep"][depth]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_colorings(self, seed):
+        path = gallai_roy_rainbow_path(self.random_case(seed))
+        assert list(path.vertices) == self.FROZEN["random"][seed]
 
 
 class TestBudgets:
