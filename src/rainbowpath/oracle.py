@@ -10,6 +10,8 @@ silently returned. Their results, node counts included, follow one contract:
 - candidates are tried in ascending vertex id;
 - the best result is replaced only on strict improvement;
 - each path extension counts one search node against the budget;
+- an extension rejected by the most-colorful search's color bound still
+  counts its node, which is counted before the bound is tested;
 - the rainbow search stops at the first path that uses every color.
 """
 
@@ -166,14 +168,22 @@ def _search_rainbow_path(
 
 
 def _search_most_colorful(
-    masks: tuple[int, ...], n: int, colors: list[int], start: int, max_nodes: int
+    masks: tuple[int, ...], colors: list[int], start: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
     """Induced path from a fixed start maximizing distinct colors.
 
     Ties prefer smaller order, then the lexicographically smallest vertex
-    sequence (guaranteed by depth-first enumeration order). Branches whose
-    optimistic color bound cannot strictly beat the best count are pruned.
+    sequence (guaranteed by depth-first enumeration order). An extension is
+    rejected when its optimistic color bound, the colors it uses plus the
+    unused colors of vertices outside its closed set, cannot reach the best
+    count; such an extension sees fewer colors than the best, so it could
+    never have replaced it. The bound tests one color-class mask per unused
+    color, O(palette) work, stops once enough colors are found, and is
+    skipped when the extension already sees at least the best count.
     """
+    classes = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
     best = [start]
     best_count = 1
     nodes = 0
@@ -196,24 +206,24 @@ def _search_most_colorful(
             return best, nodes, True
         new_closed = closed[-1] | masks[path[-1]] | low
         new_used = used[-1] | 1 << colors[x]
+        count = new_used.bit_count()
+        short = best_count - count
+        if short > 0:
+            # reject unless `short` unused colors remain outside new_closed
+            for c, members in enumerate(classes):
+                if members & ~new_closed and not new_used >> c & 1:
+                    short -= 1
+                    if not short:
+                        break
+            else:
+                continue
         path.append(x)
         closed.append(new_closed)
         used.append(new_used)
         cands.append(masks[x] & ~new_closed)
-        count = new_used.bit_count()
         if count > best_count or (count == best_count and len(path) < len(best)):
             best = path.copy()
             best_count = count
-        # optimistic bound: colors still visible outside the closed set
-        avail = 0
-        rest = ~new_closed & ((1 << n) - 1)
-        for v in _bits(rest):
-            avail |= 1 << colors[v]
-        if count + (avail & ~new_used).bit_count() < best_count:
-            path.pop()
-            closed.pop()
-            used.pop()
-            cands.pop()
     return best, nodes, False
 
 
@@ -249,7 +259,7 @@ def max_colorful_induced_path_from(
         raise GraphError(f"start vertex {start} not in graph")
     _check_budget(g, budget)
     raw, nodes, exceeded = _search_most_colorful(
-        g.masks, g.n, _dense_colors(cg), start, budget.max_nodes
+        g.masks, _dense_colors(cg), start, budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget, normalize=False)
 

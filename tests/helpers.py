@@ -101,14 +101,14 @@ def naive_longest_induced_rainbow_path_order(cg: ColoredGraph) -> int:
     return best
 
 
-def naive_most_colorful_from(cg: ColoredGraph, start: int) -> int:
+def naive_most_colorful_path_from(cg: ColoredGraph, start: int) -> tuple[int, ...]:
+    """The induced path from start that sees the most distinct colors; ties
+    go to the fewest vertices, then to the smallest vertex tuple."""
     g = cg.graph
-    best = 0
-    for seq in _all_paths(g):
-        if seq[0] != start or not is_induced_seq(g, seq):
-            continue
-        best = max(best, len({cg.color_of(v) for v in seq}))
-    return best
+    return min(
+        (tuple(seq) for seq in _all_paths(g) if seq[0] == start and is_induced_seq(g, seq)),
+        key=lambda seq: (-len({cg.color_of(v) for v in seq}), len(seq), seq),
+    )
 
 
 def naive_shortest_path_to_set(g: Graph, source: int, targets: set[int]) -> tuple[int, ...] | None:

@@ -34,7 +34,7 @@ from rainbowpath import (
 from helpers import (
     naive_longest_induced_path_order,
     naive_longest_induced_rainbow_path_order,
-    naive_most_colorful_from,
+    naive_most_colorful_path_from,
     random_proper_coloring,
 )
 from test_graphs import graphs
@@ -200,9 +200,21 @@ class TestMaxColorfulFrom:
         start = data.draw(st.integers(0, cg.graph.n - 1))
         result = max_colorful_induced_path_from(cg, start)
         count = len({cg.color_of(v) for v in result.path.vertices})
-        assert count == naive_most_colorful_from(cg, start)
+        naive = naive_most_colorful_path_from(cg, start)
+        assert count == len({cg.color_of(v) for v in naive})
         assert result.path.vertices[0] == start
         assert classify_path(cg, result.path.vertices).is_induced
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_naive_path(self, seed):
+        # sparse color ids, often more colors than chi: ties on the color
+        # count are common, so the order and lexicographic tie-breaks show
+        rng = random.Random(seed)
+        g = random_triangle_free(4 + seed % 6, rng.choice((0.3, 0.5, 0.7)), seed=seed)
+        cg = ColoredGraph(g, random_proper_coloring(g, rng))
+        for start in range(g.n):
+            result = max_colorful_induced_path_from(cg, start)
+            assert result.path.vertices == naive_most_colorful_path_from(cg, start)
 
 
 class TestGallaiRoy:
@@ -341,6 +353,43 @@ class TestFrozenSearches:
             assert reached == (case["coloring"] == "dsatur")
         half = search(cg, SearchBudget(max_nodes=max(1, full.nodes // 2), on_exceed="flag"))
         assert self._record(half) == case["half"]
+
+
+class TestFrozenMostColorful:
+    """(vertices, nodes, exact) of max_colorful_induced_path_from, frozen
+    before its color bound was computed from color-class masks and tested
+    before the push.
+
+    Inputs: every start vertex of random_triangle_free(n, 0.35, n) for n in
+    14, 16, 18, 20 and 22, under DSATUR colors and under
+    helpers.random_proper_coloring seeded with n (palette 6-8, sparse ids).
+    Each search runs at the full budget and, with on_exceed='flag', at 1,
+    half and one less than its own node count, so a node counted or pruned
+    in a different place shows in the cut-off path or the node count.
+    """
+
+    CASES = json.loads((DATA / "frozen_most_colorful.json").read_text(encoding="ascii"))
+
+    @staticmethod
+    def colored(n, coloring):
+        g = random_triangle_free(n, 0.35, seed=n)
+        if coloring == "dsatur":
+            return ColoredGraph(g, dsatur_coloring(g))
+        cg = ColoredGraph(g, random_proper_coloring(g, random.Random(n)))
+        assert cg.coloring.palette_size >= 5
+        return cg
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[f"{c['n']}-{c['coloring']}-{c['start']}" for c in CASES]
+    )
+    def test_search_unchanged(self, case):
+        cg = self.colored(case["n"], case["coloring"])
+        full = max_colorful_induced_path_from(cg, case["start"])
+        assert TestFrozenSearches._record(full) == case["full"]
+        for budget, record in case["cut"].items():
+            cut = max_colorful_induced_path_from(
+                cg, case["start"], SearchBudget(max_nodes=int(budget), on_exceed="flag"))
+            assert TestFrozenSearches._record(cut) == record
 
 
 class TestRelabelInvariance:
