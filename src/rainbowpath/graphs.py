@@ -107,8 +107,14 @@ class Coloring:
     def palette_size(self) -> int:
         return len(set(self.colors))
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
+
+def _color_classes(colors: Iterable[int]) -> dict[int, int]:
+    """Vertex bitmask of each color class, keyed by color in order of first
+    occurrence, so enumerating the keys gives dense 0-based color ids."""
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return classes
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -118,9 +124,7 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     """
     if coloring.n != g.n:
         raise GraphError(f"coloring covers {coloring.n} vertices, graph has {g.n}")
-    classes: dict[int, int] = {}
-    for v, c in enumerate(coloring.colors):
-        classes[c] = classes.get(c, 0) | 1 << v
+    classes = _color_classes(coloring.colors)
     return not any(m & classes[c] for m, c in zip(g.masks, coloring.colors))
 
 
@@ -154,9 +158,6 @@ class Path:
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
+from typing import Iterator
 
 from .chromatic import TooLargeError, canonical_form, chromatic_number, iter_colorings
 from .colorful import colorful_path_from
@@ -259,20 +260,34 @@ class CorpusSummary:
     wall_time: float = 0.0
 
 
-def _check_line(args: tuple[str, str, HarnessConfig]) -> tuple[str, str | None, str | None]:
-    """Worker: returns (graph_id, json_line or None, skip_reason or None)."""
+_Result = tuple[str, str | None, str | None, int, bool]
+
+
+def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
+    """Worker: returns (graph_id, json_line or None, skip_reason or None,
+    colorings_checked, holds_for_all_checked); a skipped graph checks none."""
     graph_id, text, cfg = args
     try:
         g = decode_graph6(text)
     except Graph6Error as exc:
-        return graph_id, None, f"malformed graph6: {exc}"
+        return graph_id, None, f"malformed graph6: {exc}", 0, True
     if not is_triangle_free(g):
-        return graph_id, None, "graph contains a triangle"
+        return graph_id, None, "graph contains a triangle", 0, True
     try:
         report = check_graph(g, cfg, graph_id)
     except TooLargeError as exc:
-        return graph_id, None, str(exc)
-    return graph_id, report_to_json(report), None
+        return graph_id, None, str(exc), 0, True
+    return (graph_id, report_to_json(report), None, report.colorings_checked,
+            report.holds_for_all_checked)
+
+
+def _results(jobs: list[tuple[str, str, HarnessConfig]], parallelism: int) -> Iterator[_Result]:
+    """Worker results in job order, each yielded as soon as it is ready."""
+    if parallelism > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            yield from pool.map(_check_line, jobs)
+    else:
+        yield from map(_check_line, jobs)
 
 
 def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
@@ -288,23 +303,16 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
     summary = CorpusSummary()
 
     jobs = [(f"line{lineno}", text, cfg) for lineno, text in iter_corpus(path)]
-    if cfg.parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(_check_line, jobs))
-    else:
-        results = [_check_line(job) for job in jobs]
-
     with open(out_path, "w", encoding="ascii") as out:
-        for graph_id, line, skip_reason in results:
-            if skip_reason is not None:
+        for graph_id, line, skip_reason, checked, holds in _results(jobs, cfg.parallelism):
+            if line is None:
                 log.warning("%s skipped: %s", graph_id, skip_reason)
                 summary.skipped.append(f"{graph_id}: {skip_reason}")
                 continue
             out.write(line + "\n")
             summary.graphs_processed += 1
-            record = json.loads(line)
-            summary.checks_run += record["colorings_checked"]
-            if not record["holds_for_all_checked"]:
+            summary.checks_run += checked
+            if not holds:
                 summary.violations += 1
     summary.wall_time = time.perf_counter() - started
     return summary

@@ -12,14 +12,16 @@ silently returned. Their results, node counts included, follow one contract:
 - each path extension counts one search node against the budget;
 - an extension rejected by the most-colorful search's color bound still
   counts its node, which is counted before the bound is tested;
-- the rainbow search stops at the first path that uses every color.
+- one loop serves the induced and the rainbow search: a vertex on the path
+  blocks itself, or its whole color class, from joining it, and the loop
+  stops at the first path of `limit` vertices (n, or the palette size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _lowest
+from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _color_classes, _lowest
 
 
 class BudgetExceededError(GraphError):
@@ -56,16 +58,6 @@ class SearchResult:
     nodes: int
 
 
-def _dense_colors(cg: ColoredGraph) -> list[int]:
-    remap: dict[int, int] = {}
-    dense = []
-    for c in cg.coloring.colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        dense.append(remap[c])
-    return dense
-
-
 def _check_budget(g: Graph, budget: SearchBudget) -> None:
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
@@ -85,90 +77,54 @@ def _finish(raw_path: list[int], nodes: int, exceeded: bool, budget: SearchBudge
     return SearchResult(Path(vs), exact=not exceeded, nodes=nodes)
 
 
-def _search_induced_path(masks: tuple[int, ...], n: int, max_nodes: int) -> tuple[list[int], int, bool]:
-    """Maximum-order induced path; returns (path, nodes_used, exceeded)."""
-    best: list[int] = []
-    nodes = 0
-    for start in range(n):
-        if not best:
-            best = [start]
-        path = [start]
-        closed = [1 << start]
-        cands = [masks[start]]
-        while path:
-            if not cands[-1]:
-                path.pop()
-                closed.pop()
-                cands.pop()
-                continue
-            low = cands[-1] & -cands[-1]
-            cands[-1] ^= low
-            nodes += 1
-            if nodes > max_nodes:
-                return best, nodes, True
-            x = low.bit_length() - 1
-            new_closed = closed[-1] | masks[path[-1]] | low
-            path.append(x)
-            closed.append(new_closed)
-            cands.append(masks[x] & ~new_closed)
-            if len(path) > len(best):
-                best = path.copy()
-    return best, nodes, False
+def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
+                 max_nodes: int) -> tuple[list[int], int, bool]:
+    """Maximum-order induced path with at most one vertex of each block;
+    returns (path, nodes_used, exceeded). n must be at least 1.
 
-
-def _search_rainbow_path(
-    masks: tuple[int, ...], n: int, colors: list[int], max_nodes: int
-) -> tuple[list[int], int, bool]:
-    """Maximum-order induced path with pairwise distinct colors.
-
-    colors must be dense 0-based ids; extensions repeating a used color are
-    pruned, which is safe because prefixes of rainbow paths are rainbow. No
-    rainbow path has more vertices than there are colors, so the search stops
-    at the first path that uses every color: later paths can only tie it, and
-    ties never replace the best, so the result is the one the full search
+    The blocks partition the vertices, and block[x] is the vertex mask of
+    the block of x: 1 << x for a plain induced path, the color class of x
+    for a rainbow one. Adjacent vertices must not share a block, as a proper
+    coloring ensures. Once x is on the path its whole block is closed, so no
+    vertex and no color becomes a candidate twice. No such path has more
+    than limit vertices (n, or the number of colors), so the search stops at
+    the first path of limit vertices: later paths can only tie it, and ties
+    never replace the best, so the result is the one the full search
     returns, reported exact.
     """
-    palette = max(colors, default=-1) + 1
-    best: list[int] = []
+    best = [0]
     nodes = 0
+    if limit == 1:
+        return best, nodes, False
     for start in range(n):
-        if not best:
-            best = [start]
-            if palette == 1:
-                return best, nodes, False
         path = [start]
-        closed = [1 << start]
-        used = [1 << colors[start]]
+        closed = [block[start]]
         cands = [masks[start]]
         while path:
             if not cands[-1]:
                 path.pop()
                 closed.pop()
-                used.pop()
                 cands.pop()
                 continue
             low = cands[-1] & -cands[-1]
             cands[-1] ^= low
-            x = low.bit_length() - 1
-            if used[-1] >> colors[x] & 1:
-                continue
             nodes += 1
             if nodes > max_nodes:
                 return best, nodes, True
-            new_closed = closed[-1] | masks[path[-1]] | low
+            x = low.bit_length() - 1
+            new_closed = closed[-1] | masks[path[-1]] | block[x]
             path.append(x)
             closed.append(new_closed)
-            used.append(used[-1] | 1 << colors[x])
             cands.append(masks[x] & ~new_closed)
             if len(path) > len(best):
                 best = path.copy()
-                if len(best) == palette:
+                if len(best) == limit:
                     return best, nodes, False
     return best, nodes, False
 
 
 def _search_most_colorful(
-    masks: tuple[int, ...], colors: list[int], start: int, max_nodes: int
+    masks: tuple[int, ...], colors: tuple[int, ...], start: int, max_nodes: int
 ) -> tuple[list[int], int, bool]:
     """Induced path from a fixed start maximizing distinct colors.
 
@@ -181,15 +137,16 @@ def _search_most_colorful(
     color, O(palette) work, stops once enough colors are found, and is
     skipped when the extension already sees at least the best count.
     """
-    classes = [0] * (max(colors) + 1)
-    for v, c in enumerate(colors):
-        classes[c] |= 1 << v
+    by_color = _color_classes(colors)
+    dense = {c: i for i, c in enumerate(by_color)}
+    color_bit = [1 << dense[c] for c in colors]
+    classes = list(by_color.values())
     best = [start]
     best_count = 1
     nodes = 0
     path = [start]
     closed = [1 << start]
-    used = [1 << colors[start]]
+    used = [color_bit[start]]
     cands = [masks[start]]
     while path:
         if not cands[-1]:
@@ -205,7 +162,7 @@ def _search_most_colorful(
         if nodes > max_nodes:
             return best, nodes, True
         new_closed = closed[-1] | masks[path[-1]] | low
-        new_used = used[-1] | 1 << colors[x]
+        new_used = used[-1] | color_bit[x]
         count = new_used.bit_count()
         short = best_count - count
         if short > 0:
@@ -235,7 +192,9 @@ def longest_induced_path(g: Graph, budget: SearchBudget = SearchBudget()) -> Sea
     with its smaller endpoint first.
     """
     _check_budget(g, budget)
-    raw, nodes, exceeded = _search_induced_path(g.masks, g.n, budget.max_nodes)
+    raw, nodes, exceeded = _search_path(
+        g.masks, g.n, [1 << v for v in range(g.n)], g.n, budget.max_nodes
+    )
     return _finish(raw, nodes, exceeded, budget)
 
 
@@ -243,8 +202,10 @@ def longest_induced_rainbow_path(cg: ColoredGraph, budget: SearchBudget = Search
     """A maximum-order induced path whose vertices have pairwise distinct colors."""
     g = cg.graph
     _check_budget(g, budget)
-    raw, nodes, exceeded = _search_rainbow_path(
-        g.masks, g.n, _dense_colors(cg), budget.max_nodes
+    colors = cg.coloring.colors
+    classes = _color_classes(colors)
+    raw, nodes, exceeded = _search_path(
+        g.masks, g.n, [classes[c] for c in colors], len(classes), budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget)
 
@@ -259,7 +220,7 @@ def max_colorful_induced_path_from(
         raise GraphError(f"start vertex {start} not in graph")
     _check_budget(g, budget)
     raw, nodes, exceeded = _search_most_colorful(
-        g.masks, _dense_colors(cg), start, budget.max_nodes
+        g.masks, cg.coloring.colors, start, budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget, normalize=False)
 
@@ -273,15 +234,14 @@ def _color_orientation(masks: tuple[int, ...], colors: tuple[int, ...],
     order. colors must be proper on the subgraph, so every edge gets a strict
     direction and the order is topological.
     """
-    classes: dict[int, int] = {}
-    for v in _bits(subset):
-        classes[colors[v]] = classes.get(colors[v], 0) | 1 << v
+    classes = _color_classes(colors)
     below = 0
     out = []
     for c in sorted(classes):
-        for v in _bits(classes[c]):
+        members = classes[c] & subset
+        for v in _bits(members):
             out.append((v, masks[v] & below))
-        below |= classes[c]
+        below |= members
     return out
 
 

@@ -50,9 +50,13 @@ def colored_graphs(draw, max_n=8):
 
 
 class TestLongestInducedPath:
-    def test_path_graph(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert longest_induced_path(g).path.order == 4
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_path_graph(self, n):
+        # P_n is its own longest induced path: the search walks it from
+        # vertex 0 and stops there, having spent one node per edge
+        result = longest_induced_path(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+        assert result.path.order == n and result.exact
+        assert result.nodes == n - 1
 
     def test_c5_max_is_four(self, c5):
         result = longest_induced_path(c5)
@@ -89,8 +93,20 @@ class TestLongestInducedRainbowPath:
         assert report.is_induced and report.is_rainbow
 
     def test_all_distinct_colors_equals_plain_search(self, petersen):
-        cg = ColoredGraph(petersen, Coloring(tuple(range(1, 11))))
-        assert longest_induced_rainbow_path(cg).path.order == longest_induced_path(petersen).path.order
+        # under all-distinct colors both searches are the same search: the
+        # same path, node count and exactness at any budget
+        for g in [petersen, *(random_triangle_free(12, 0.4, seed=s) for s in range(8))]:
+            cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
+            nodes = longest_induced_path(g).nodes
+            budgets = [SearchBudget()] + [
+                SearchBudget(max_nodes=max(1, m), on_exceed="flag")
+                for m in (1, nodes // 2, nodes - 1)
+            ]
+            for budget in budgets:
+                plain = longest_induced_path(g, budget)
+                rainbow = longest_induced_rainbow_path(cg, budget)
+                assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
+                    plain.path, plain.nodes, plain.exact)
 
     def test_single_vertex(self):
         cg = ColoredGraph(build_graph(1, []), Coloring((1,)))

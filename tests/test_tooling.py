@@ -1,28 +1,31 @@
 """The benchmark's tracer names rainbowpath functions by string; a refactor
 that renames or stops importing one would break `perfbench/run.py --trace 1`
-without failing any library test, so those names are checked here. So is
-the pytest configuration's warning filter, which decides whether a failing
-test lets the rest of the session run."""
+without failing any library test, so those names are checked here. So are
+the bytes of the benchmark's sweep report, and the pytest configuration's
+warning filter, which decides whether a failing test lets the rest of the
+session run."""
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-_spans = _load_spans()
+_spans = _load("spans")
 TRACED = sorted({attr for layers in (_spans.LAYERS, _spans.ITER_LAYERS)
                  for attrs in layers.values() for attr in attrs})
 
@@ -34,7 +37,20 @@ def test_traced_name_resolves(attr):
     assert callable(getattr(module, name, None)), f"rainbowpath.{attr} is gone"
 
 
-PYPROJECT = SPANS.parent.parent / "pyproject.toml"
+def test_sweep_report_matches_reference(tmp_path):
+    """The mycielski-sweep workload's report, byte for byte, is the one
+    pinned in perfbench/reference.json, and its validation fails no
+    operation: a change to any verdict, count or digest in a sweep shows
+    here, not only in a benchmark run."""
+    workload = _load("workloads").WORKLOADS["mycielski-sweep"]
+    state = workload.setup(0, tmp_path)
+    validation, digest = workload.validate(state, workload.measure(state))
+    assert validation.failed == 0, validation.problems
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
+    assert digest == reference["report_sha256"]["mycielski-sweep"]["0"]
+
+
+PYPROJECT = PERFBENCH.parent / "pyproject.toml"
 
 FAILING_GIVEN = '''
 from hypothesis import given, strategies as st
