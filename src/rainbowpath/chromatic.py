@@ -17,11 +17,10 @@ is immutable and hashable, which makes the cache safe.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Coloring, Graph, GraphError, _bits
+from .graphs import Coloring, Graph, GraphError, _bits, _layers, _lowest
 
 
 class TooLargeError(GraphError):
@@ -81,32 +80,31 @@ def _greedy_clique(g: Graph) -> tuple[int, ...]:
 
 
 def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
-    """An odd cycle witnessing non-bipartiteness, or None if g is bipartite."""
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in _bits(g.masks[v]):
-                if side[u] == -1:
-                    side[u] = 1 - side[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    # close the cycle through the lowest common BFS ancestor
-                    anc = [v]
-                    while parent[anc[-1]] != -1:
-                        anc.append(parent[anc[-1]])
-                    anc_pos = {x: i for i, x in enumerate(anc)}
-                    trail = [u]
-                    while trail[-1] not in anc_pos:
-                        trail.append(parent[trail[-1]])
-                    meet = trail.pop()
-                    return tuple(anc[: anc_pos[meet] + 1] + list(reversed(trail)))
+    """An odd cycle witnessing non-bipartiteness, or None if g is bipartite.
+
+    Each component is searched breadth-first from its smallest vertex. The
+    cycle is closed by the first vertex, in layer order and then by id, with
+    a neighbor in its own layer, and by its smallest such neighbor: from
+    these two, both ends step to their smallest neighbor in the layer before
+    until the two walks meet. The cycle runs from the first vertex up its
+    walk to the meeting vertex and down the other walk to its neighbor.
+    """
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layers: list[int] = []
+        for layer in _layers(g.masks, unseen, unseen & -unseen):
+            for v in _bits(layer):
+                same = g.masks[v] & layer
+                if same:
+                    left, right = [v], [_lowest(same)]
+                    for before in reversed(layers):
+                        if left[-1] == right[-1]:
+                            break
+                        left.append(_lowest(g.masks[left[-1]] & before))
+                        right.append(_lowest(g.masks[right[-1]] & before))
+                    return tuple(left + right[-2::-1])
+            layers.append(layer)
+            unseen &= ~layer
     return None
 
 

@@ -62,8 +62,11 @@ def read_grading_file(path: str) -> Grading:
     if len(lines) % 2:
         raise GraphError(f"grading file needs 2 lines per part, got {len(lines)} lines")
     half = len(lines) // 2
-    parts = tuple(tuple(int(t) for t in line.split()) for line in lines[:half])
-    colorings = tuple(tuple(int(t) for t in line.split()) for line in lines[half:])
+    try:
+        parts = tuple(tuple(int(t) for t in line.split()) for line in lines[:half])
+        colorings = tuple(tuple(int(t) for t in line.split()) for line in lines[half:])
+    except ValueError as exc:
+        raise GraphError(f"bad grading file {path}: {exc}") from exc
     k = max((max(c) for c in colorings if c), default=1)
     return Grading(parts=parts, part_colorings=colorings, k=k)
 

@@ -10,6 +10,10 @@ either some path vertex has enough later neighbors of distinct colors (a
 witness) or a breadth-first tree inside the path's vertex set is deep
 enough to surface an induced rainbow path of the target order.
 
+The witness scan and the probe read per-vertex arc bitmasks (_arc_masks);
+the probe is the shared breadth-first search graphs._layers inside the
+path's vertex set, and the witness takes the smallest s arc-neighbors.
+
 Every returned path or witness is re-verified against the original colored
 graph before being reported, and a procedure run always carries a full
 trace of the intermediate objects.
@@ -22,7 +26,8 @@ from enum import Enum
 from functools import cached_property
 
 from .chromatic import chromatic_number
-from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, classify_path, induced_subgraph
+from .graphs import (ColoredGraph, Graph, GraphError, Path, _bits, _layers, _lowest, classify_path,
+                     induced_subgraph)
 from .oracle import SearchBudget, _color_orientation, _longest_directed_path, longest_induced_path
 
 
@@ -224,39 +229,19 @@ def verify_witness_outcome(cg: ColoredGraph, grading: Grading, witness: Witness,
     )
 
 
-def _later_neighbors(path_vertices: tuple[int, ...], arcs: list[tuple[int, int]],
-                     outgoing: bool) -> dict[int, list[int]]:
-    """Arc-neighbors of each path vertex inside the path's vertex set.
+def _arc_masks(n: int, arcs: list[tuple[int, int]], outgoing: bool) -> tuple[list[int], list[int]]:
+    """Per-vertex bitmasks (step, back) of one side's arcs.
 
-    outgoing=True takes arc heads (forward side), else arc tails (backward
-    side); both directions point at strictly later grading parts.
+    step[v] is where the side's BFS goes from v: arc heads on the forward
+    side (outgoing=True), arc tails on the backward side; both point at
+    strictly later grading parts. back[v] is the reverse direction.
     """
-    members = set(path_vertices)
-    out: dict[int, list[int]] = {v: [] for v in path_vertices}
+    heads = [0] * n
+    tails = [0] * n
     for u, w in arcs:
-        if u in members and w in members:
-            if outgoing:
-                out[u].append(w)
-            else:
-                out[w].append(u)
-    return out
-
-
-def _bfs_levels(root: int, adjacency: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, int]]:
-    """Deterministic BFS: (depth map, parent map), expanding smaller ids first."""
-    depth = {root: 0}
-    parent = {root: -1}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(adjacency.get(u, ())):
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    return depth, parent
+        heads[u] |= 1 << w
+        tails[w] |= 1 << u
+    return (heads, tails) if outgoing else (tails, heads)
 
 
 def _global_witness(cg: ColoredGraph, grading: Grading, s: int) -> Witness | None:
@@ -336,31 +321,34 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         return GradingOutcome(kind, path, witness, trace)
 
     sides = [
-        (side, path_vertices, outgoing, _later_neighbors(path_vertices, side_arcs, outgoing))
+        (side, path_vertices, outgoing, sum(1 << v for v in path_vertices),
+         *_arc_masks(g.n, side_arcs, outgoing))
         for side, path_vertices, side_arcs, outgoing in (
             ("forward", forward_path, forward_arcs, True),
             ("backward", backward_path, backward_arcs, False),
         )
     ]
-    for _, path_vertices, _, adjacency in sides:
-        v = next((v for v in path_vertices if len(adjacency[v]) >= s), None)
+    for _, path_vertices, _, members, step, _ in sides:
+        v = next((v for v in path_vertices if (step[v] & members).bit_count() >= s), None)
         if v is not None:
-            witness = Witness(vertex=v, later_neighbors=tuple(sorted(adjacency[v])[:s]))
+            witness = Witness(vertex=v, later_neighbors=tuple(_bits(step[v] & members))[:s])
             if verify_witness_outcome(cg, grading, witness, s):
                 return finish(OutcomeKind.WITNESS, None, witness, False)
 
     # the chosen class is not empty, so both paths have a vertex
-    for side, path_vertices, outgoing, adjacency in sides:
+    for side, path_vertices, outgoing, members, step, back in sides:
         root = path_vertices[0] if outgoing else path_vertices[-1]
-        depth, parent = _bfs_levels(root, adjacency)
-        max_depth = max(depth.values())
+        layers = list(_layers(step, members, 1 << root))
+        max_depth = len(layers) - 1
         if max_depth < s - 1:
             bfs_attempts.append(BfsAttempt(side, root, max_depth, None, None, False))
             continue
-        tip = min(v for v, d in depth.items() if d == s - 1)
-        chain = [tip]
-        while chain[-1] != root:
-            chain.append(parent[chain[-1]])
+        # the tie-breaks of a BFS expanding each layer in ascending id: the tip
+        # is the smallest id at depth s-1, a vertex's parent its smallest
+        # predecessor in the layer before
+        chain = [_lowest(layers[s - 1])]
+        for layer in reversed(layers[:s - 1]):
+            chain.append(_lowest(back[chain[-1]] & layer))
         extracted = tuple(reversed(chain)) if outgoing else tuple(chain)
         candidate = Path(extracted)
         ok = verify_rainbow_outcome(cg, candidate, s)

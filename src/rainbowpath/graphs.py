@@ -9,7 +9,7 @@ hashable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -214,7 +214,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(_bits(comp)) for comp in _mask_components(g.masks, (1 << g.n) - 1)]
 
 
-def _layers(masks: tuple[int, ...], subset: int, frontier: int) -> Iterator[int]:
+def _layers(masks: Sequence[int], subset: int, frontier: int) -> Iterator[int]:
     """Breadth-first layers, as bitmasks, of the subgraph induced by the
     vertex bitmask subset, starting from the vertex bitmask frontier."""
     seen = frontier

@@ -10,6 +10,7 @@ from rainbowpath import (
     build_graph,
     canonical_form,
     chromatic_number,
+    cycle_graph,
     dsatur_coloring,
     enumerate_colorings,
     is_proper,
@@ -17,7 +18,7 @@ from rainbowpath import (
     mycielski_iterates,
     random_triangle_free,
 )
-from rainbowpath.chromatic import TooLargeError, _k_colorable
+from rainbowpath.chromatic import TooLargeError, _k_colorable, _odd_cycle
 from helpers import is_bipartite_bfs, naive_canonical_colorings, naive_chromatic_number
 from test_graphs import graphs
 
@@ -111,6 +112,37 @@ class TestChromaticNumber:
         rest = [u for u in range(g.n) if u != v]
         smaller = induced_subgraph(g, rest).graph
         assert chromatic_number(smaller).chi <= chromatic_number(g).chi
+
+
+class TestOddCycleCertificate:
+    """_odd_cycle(g) is None exactly when g is bipartite, and otherwise an
+    odd cycle of g: distinct vertices, each adjacent to the next and the
+    last to the first."""
+
+    @staticmethod
+    def _check(g):
+        cycle = _odd_cycle(g)
+        assert (cycle is None) == is_bipartite_bfs(g)
+        if cycle is not None:
+            assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+            assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+
+    @given(graphs())
+    def test_random_graphs(self, g):
+        self._check(g)
+
+    def test_every_graph_on_five_vertices(self):
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        for chosen in range(1 << len(pairs)):
+            self._check(build_graph(5, [e for i, e in enumerate(pairs) if chosen >> i & 1]))
+
+    @pytest.mark.parametrize("n", range(3, 40))
+    def test_cycles(self, n):
+        self._check(cycle_graph(n))
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_mycielski_iterates(self, depth):
+        self._check(mycielski_iterates(depth)[-1])
 
 
 class TestFrozenColorability:

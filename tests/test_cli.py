@@ -83,6 +83,16 @@ class TestLemma1Command:
         assert "rainbow path: [2, 3, 4]" in out
         assert "forward arcs" in out
 
+    def test_malformed_grading_file_exit_one(self, capsys, tmp_path, c5):
+        grading = tmp_path / "grading.txt"
+        grading.write_text("0 1 2 3 x\n1 2 1 2 3\n")
+        code, out, err = run(
+            capsys, "lemma1", encode_graph6(c5),
+            "--coloring", "1 2 1 2 3", "--grading-file", str(grading), "--s", "3",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad grading file") and "'x'" in err
+
     def test_grading_file_round_trip(self, tmp_path):
         f = tmp_path / "grading.txt"
         f.write_text("# parts then colorings\n0 1 2\n3 4\n1 2 1\n1 2\n")

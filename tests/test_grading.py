@@ -256,8 +256,11 @@ class TestFrozenProcedure:
     and paths, BFS attempts), frozen before the forward and backward paths
     came from the DP that gallai_roy_rainbow_path uses.
 
-    Inputs: procedure_case(seed) for seeds 0-59. No BFS parent path needed
-    the exhaustive fallback on any of them.
+    Inputs: procedure_case(seed) for seeds 0-59, and every seed in 60-1999
+    whose outcome extracts a chain on the backward side or returns a witness
+    from a longest path's vertex set (113 seeds), so the BFS chain's tip and
+    parent tie-breaks and the path-set witness scan are pinned on both
+    sides. No BFS parent path needed the exhaustive fallback on any of them.
     """
 
     CASES = [json.loads(line) for line in
@@ -267,3 +270,11 @@ class TestFrozenProcedure:
     def test_outcome_and_trace_unchanged(self, case):
         cg, grading, s = procedure_case(case["seed"])
         assert outcome_record(rainbow_or_witness(cg, grading, s)) == case["record"]
+
+    def test_no_fallback_on_any_seed(self):
+        """The BFS chain always verifies, so the exhaustive induced-path
+        fallback never runs on seeds 0-1999."""
+        for seed in range(2000):
+            cg, grading, s = procedure_case(seed)
+            attempts = rainbow_or_witness(cg, grading, s).trace.bfs_attempts
+            assert not any(a.fallback_used for a in attempts), seed

@@ -1,9 +1,9 @@
 """The benchmark's tracer names rainbowpath functions by string; a refactor
 that renames or stops importing one would break `perfbench/run.py --trace 1`
 without failing any library test, so those names are checked here. So are
-the bytes of the benchmark's sweep report, and the pytest configuration's
-warning filter, which decides whether a failing test lets the rest of the
-session run."""
+the bytes of the benchmark's sweep and exact-solvers reports, and the pytest
+configuration's warning filter, which decides whether a failing test lets
+the rest of the session run."""
 
 import importlib
 import importlib.util
@@ -48,6 +48,18 @@ def test_sweep_report_matches_reference(tmp_path):
     assert validation.failed == 0, validation.problems
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
     assert digest == reference["report_sha256"]["mycielski-sweep"]["0"]
+
+
+def test_exact_solvers_report_matches_reference(tmp_path):
+    """The exact-solvers workload, the only one that runs the graded
+    procedure, the induced-path and the most-colorful searches, writes the
+    report pinned in perfbench/reference.json and fails no operation."""
+    workload = _load("workloads").WORKLOADS["exact-solvers"]
+    state = workload.setup(0, tmp_path)
+    validation, digest = workload.validate(state, workload.measure(state))
+    assert validation.failed == 0, validation.problems
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
+    assert digest == reference["report_sha256"]["exact-solvers"]["0"]
 
 
 PYPROJECT = PERFBENCH.parent / "pyproject.toml"
