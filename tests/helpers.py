@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from rainbowpath.graphs import ColoredGraph, Coloring, Graph
+from rainbowpath.graphs import ColoredGraph, Coloring, Graph, build_graph
 
 
 def adjacency_lists(g: Graph) -> list[list[int]]:
@@ -50,6 +50,20 @@ def random_proper_coloring(g: Graph, rng: random.Random, spread: int = 200) -> C
         colors[v] = rng.choice([c for c in range(1, g.degree(v) + 2) if c not in taken])
     ids = rng.sample(range(1, spread + 1), max(colors, default=0))
     return Coloring(tuple(ids[c - 1] for c in colors))
+
+
+def every_graph(n: int):
+    """All 2**(n choose 2) labelled graphs on n vertices."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield build_graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+def dense_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with pairs drawn in lexicographic order from random.Random(seed);
+    unlike random_triangle_free it may contain triangles and large cliques."""
+    rng = random.Random(seed)
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def naive_triangle_free(g: Graph) -> bool:

@@ -19,7 +19,14 @@ from rainbowpath import (
     random_triangle_free,
 )
 from rainbowpath.chromatic import TooLargeError, _k_colorable, _odd_cycle
-from helpers import is_bipartite_bfs, naive_canonical_colorings, naive_chromatic_number
+from helpers import (
+    dense_graph,
+    every_graph,
+    is_bipartite_bfs,
+    naive_canonical_colorings,
+    naive_chromatic_number,
+    naive_is_proper,
+)
 from test_graphs import graphs
 
 
@@ -132,9 +139,8 @@ class TestOddCycleCertificate:
         self._check(g)
 
     def test_every_graph_on_five_vertices(self):
-        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        for chosen in range(1 << len(pairs)):
-            self._check(build_graph(5, [e for i, e in enumerate(pairs) if chosen >> i & 1]))
+        for g in every_graph(5):
+            self._check(g)
 
     @pytest.mark.parametrize("n", range(3, 40))
     def test_cycles(self, n):
@@ -147,12 +153,16 @@ class TestOddCycleCertificate:
 
 class TestFrozenColorability:
     """_k_colorable(g, k), the witness colors or None, frozen before the
-    search moved to saturation-level bitmasks.
+    search moved to saturation-level bitmasks (k = 2..5) and before it moved
+    to bit-sliced saturation counters (k = 1, 7, 8, 9).
 
     Inputs: random_triangle_free(n, 0.35, seed) for n = 14..28 even and
-    seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 2..5. The first
-    coloring found depends on every vertex and color choice the search
-    makes, so equal witnesses pin the search tree.
+    seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 1..5 and 7..9;
+    and dense G(n, 0.75) graphs (`dense_graph`) for n = 16..22 even and
+    seeds 0-2, whose chromatic numbers 7..10 straddle k = 7, 8 and 9, at
+    k = 1, 7, 8, 9. A saturation up to k takes 1, 3 and 4 bits at k = 1,
+    7 and 8..9. The first coloring found depends on every vertex and color
+    choice the search makes, so equal witnesses pin the search tree.
     """
 
     CASES = json.loads((Path(__file__).parent / "data" / "frozen_colorability.json").read_text(encoding="ascii"))
@@ -161,6 +171,8 @@ class TestFrozenColorability:
     def _graph(case):
         if case["graph"] == "random":
             return random_triangle_free(case["n"], 0.35, seed=case["seed"])
+        if case["graph"] == "dense":
+            return dense_graph(case["n"], 0.75, case["seed"])
         return mycielski_iterates({"grotzsch": 2, "mycielski3": 3}[case["graph"]])[-1]
 
     @pytest.mark.parametrize(
@@ -171,6 +183,20 @@ class TestFrozenColorability:
     def test_witness_unchanged(self, case):
         witness = _k_colorable(self._graph(case), case["k"])
         assert (None if witness is None else list(witness.colors)) == case["colors"]
+
+
+class TestKColorable:
+    def test_every_graph_on_five_vertices(self):
+        # k-colorable exactly when k >= chi by brute force, with a proper
+        # witness on colors 1..k
+        for g in every_graph(5):
+            chi = naive_chromatic_number(g)
+            for k in range(1, 6):
+                witness = _k_colorable(g, k)
+                assert (witness is not None) == (k >= chi)
+                if witness is not None:
+                    assert naive_is_proper(g, witness)
+                    assert set(witness.colors) <= set(range(1, k + 1))
 
 
 class TestEnumerateColorings:

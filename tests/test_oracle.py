@@ -32,6 +32,7 @@ from rainbowpath import (
     random_triangle_free,
 )
 from helpers import (
+    every_graph,
     naive_longest_induced_path_order,
     naive_longest_induced_rainbow_path_order,
     naive_most_colorful_path_from,
@@ -83,6 +84,19 @@ class TestLongestInducedPath:
         assert result.path.order == naive_longest_induced_path_order(g)
         cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
         assert classify_path(cg, result.path.vertices).is_induced
+
+
+    def test_every_graph_on_five_vertices(self):
+        # exact and maximum on every graph; under all-distinct colors the
+        # rainbow search is the same search
+        distinct = Coloring(tuple(range(1, 6)))
+        for g in every_graph(5):
+            result = longest_induced_path(g)
+            assert result.exact
+            assert result.path.order == naive_longest_induced_path_order(g)
+            rainbow = longest_induced_rainbow_path(ColoredGraph(g, distinct))
+            assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
+                result.path, result.nodes, result.exact)
 
 
 class TestLongestInducedRainbowPath:
