@@ -8,7 +8,9 @@ search with a fixed contract: the uncolored vertex with the most forbidden
 colors goes first, then higher degree, then smaller id; colors are tried in
 ascending order, and a vertex may open at most one fresh color; a branch
 fails as soon as some uncolored neighbor has all k colors forbidden. The
-witness is the first coloring this search finds.
+witness is the first coloring this search finds. Saturations are kept as
+bit-sliced counters over vertex bitmasks, so each color tried costs
+O(log k) mask operations, whatever the degree.
 
 Results are memoized per graph, whatever the vertex cap of the call; Graph
 is immutable and hashable, which makes the cache safe.
@@ -123,9 +125,13 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
       forbidden.
 
     The first coloring found is returned. Vertices are relabelled once by
-    their static rank (-degree, id), and the uncolored vertices are kept in
-    one bitmask per saturation level, so the choice is the lowest set bit of
-    the highest non-empty level: each node costs O(k + deg v), not O(n).
+    their static rank (-degree, id), and all state is rank bitmasks:
+    forbid[c] holds the uncolored vertices with a neighbor colored c, and
+    every vertex's saturation is a counter bit-sliced over k.bit_length()
+    planes. Coloring v with c adds the neighbors it newly forbids c to in
+    one ripple-carry pass over the planes, and the next vertex is the lowest
+    rank left after narrowing the uncolored mask plane by plane from the
+    top: O(log k) mask operations per color tried, not O(deg v).
     """
     n = g.n
     if n == 0:
@@ -134,66 +140,49 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
-    nbrs = [tuple(rank[u] for u in _bits(g.masks[v])) for v in order]
+    nbr = [sum(1 << rank[u] for u in _bits(g.masks[v])) for v in order]
     colors = [0] * n
-    # forbidden[v]: colors 1..k on colored neighbors of v, as a bitmask;
-    # every bit is set while v itself is colored, so no update reaches it.
-    forbidden = [0] * n
-    all_colors = ((1 << k) - 1) << 1
-    saturation = [0] * n
-    # level[s]: uncolored vertices with s forbidden colors, as a rank bitmask
-    level = [0] * (k + 1)
-    level[0] = (1 << n) - 1
-    top = range(k - 1, -1, -1)
+    forbid = [0] * (k + 1)
+    width = k.bit_length()
+    # Each counter starts at 2**width - k, so a saturation reaches k exactly
+    # when its counter carries out of the top plane.
+    start = (1 << width) - k
+    everyone = (1 << n) - 1
+    planes = [everyone if start >> i & 1 else 0 for i in range(width)]
 
-    def assign(v: int, used: int) -> bool:
+    def assign(v: int, used: int, uncolored: int, planes: list[int]) -> bool:
         bit = 1 << v
-        allowed = ~forbidden[v]
-        level[saturation[v]] ^= bit
-        forbidden[v] = all_colors
+        uncolored ^= bit
+        around = nbr[v] & uncolored
         for c in range(1, min(used + 1, k) + 1):
-            cbit = 1 << c
-            if not allowed & cbit:
+            if forbid[c] & bit:
                 continue
+            new = around & ~forbid[c]
+            sat = planes.copy()
+            carry = new
+            for i in range(width):
+                plane = sat[i]
+                sat[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                continue  # wipeout: a vertex of new has all k colors forbidden
             colors[v] = c
-            touched = []
-            ok = True
-            for u in nbrs[v]:
-                if forbidden[u] & cbit:
-                    continue
-                forbidden[u] |= cbit
-                ubit = 1 << u
-                s = saturation[u]
-                level[s] ^= ubit
-                s += 1
-                saturation[u] = s
-                level[s] |= ubit
-                touched.append(u)
-                if s == k:
-                    ok = False
-            if ok:
-                for s in top:
-                    m = level[s]
-                    if m:
-                        if assign((m & -m).bit_length() - 1, max(used, c)):
-                            return True
-                        break
-                else:
-                    return True
-            for u in touched:
-                forbidden[u] ^= cbit
-                ubit = 1 << u
-                s = saturation[u]
-                level[s] ^= ubit
-                s -= 1
-                saturation[u] = s
-                level[s] |= ubit
-        forbidden[v] = ~allowed
-        level[saturation[v]] |= bit
+            if not uncolored:
+                return True
+            top = uncolored
+            for plane in reversed(sat):
+                if top & plane:
+                    top &= plane
+            forbid[c] |= new
+            if assign((top & -top).bit_length() - 1, max(used, c), uncolored, sat):
+                return True
+            forbid[c] ^= new
         return False
 
     # every saturation is 0, so the first choice is rank 0
-    if not assign(0, 0):
+    if not assign(0, 0, everyone, planes):
         return None
     return Coloring(tuple(colors[rank[v]] for v in range(n)))
 

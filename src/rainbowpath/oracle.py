@@ -10,8 +10,9 @@ silently returned. Their results, node counts included, follow one contract:
 - candidates are tried in ascending vertex id;
 - the best result is replaced only on strict improvement;
 - each path extension counts one search node against the budget;
-- an extension rejected by the most-colorful search's color bound still
-  counts its node, which is counted before the bound is tested;
+- an extension rejected by a bound (the path searches' open-vertex bound,
+  the most-colorful search's color bound) still counts its node, which is
+  counted before the bound is tested;
 - one loop serves the induced and the rainbow search: a vertex on the path
   blocks itself, or its whole color class, from joining it, and the loop
   stops at the first path of `limit` vertices (n, or the palette size).
@@ -91,6 +92,14 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     the first path of limit vertices: later paths can only tie it, and ties
     never replace the best, so the result is the one the full search
     returns, reported exact.
+
+    An extension is rejected when its path plus every open vertex, one
+    outside its closed set, still has no more vertices than the best. The
+    path's vertices, their blocks and the neighbors of all but its last
+    vertex are closed, so every vertex that could later join the path is
+    open: the extension and every path grown from it could at best tie the
+    best, and ties never replace it. Unless the budget runs out, the result
+    is that of the search without the bound; only node counts drop.
     """
     best = [0]
     nodes = 0
@@ -113,6 +122,8 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
                 return best, nodes, True
             x = low.bit_length() - 1
             new_closed = closed[-1] | masks[path[-1]] | block[x]
+            if len(path) + n - new_closed.bit_count() < len(best):
+                continue
             path.append(x)
             closed.append(new_closed)
             cands.append(masks[x] & ~new_closed)

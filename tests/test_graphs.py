@@ -28,6 +28,15 @@ from helpers import (
 
 @st.composite
 def graphs(draw, max_n=8):
+    """Graphs on 1..max_n vertices.
+
+    Half the draws are small dense graphs: n = 3..6, each pair present with
+    probability 1/2. A uniform edge list seldom draws them, yet they are
+    the graphs that separate breadth-first tie-breaks.
+    """
+    if max_n >= 3 and draw(st.booleans()):
+        n = draw(st.integers(min_value=3, max_value=min(6, max_n)))
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())])
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []

@@ -345,7 +345,10 @@ class TestBudgets:
 
 class TestFrozenSearches:
     """(vertices, nodes, exact) of the three searches, frozen before the
-    search loops moved into oracle.py.
+    search loops moved into oracle.py. The induced and rainbow records were
+    re-recorded when those searches gained their open-vertex bound: every
+    full-budget path and exactness stayed, and only node counts (and so
+    the half budgets) dropped.
 
     Inputs: random_triangle_free(12, 0.4, seed) for seeds 0-7, under DSATUR
     colors (the rainbow search reaches the palette) and all-distinct colors
