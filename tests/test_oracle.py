@@ -85,7 +85,6 @@ class TestLongestInducedPath:
         cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
         assert classify_path(cg, result.path.vertices).is_induced
 
-
     def test_every_graph_on_five_vertices(self):
         # exact and maximum on every graph; under all-distinct colors the
         # rainbow search is the same search
