@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,18 +155,42 @@ class TestOddCycleCertificate:
         self._check(mycielski_iterates(depth)[-1])
 
 
+def vertex_choices(g, k):
+    """_k_colorable(g, k) and the number of vertices its search picks, that
+    is, calls of its inner assign, counted by a profiler hook so that the
+    search carries no counter of its own."""
+    assign = next(c for c in _k_colorable.__code__.co_consts if getattr(c, "co_name", None) == "assign")
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is assign:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        witness = _k_colorable(g, k)
+    finally:
+        sys.setprofile(previous)
+    return witness, calls
+
+
 class TestFrozenColorability:
     """_k_colorable(g, k), the witness colors or None, frozen before the
     search moved to saturation-level bitmasks (k = 2..5) and before it moved
-    to bit-sliced saturation counters (k = 1, 7, 8, 9).
+    to bit-sliced saturation counters (k = 1, 7, 8, 9); and the number of
+    vertex choices it makes, frozen with the bit-sliced search.
 
     Inputs: random_triangle_free(n, 0.35, seed) for n = 14..28 even and
     seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 1..5 and 7..9;
     and dense G(n, 0.75) graphs (`dense_graph`) for n = 16..22 even and
     seeds 0-2, whose chromatic numbers 7..10 straddle k = 7, 8 and 9, at
     k = 1, 7, 8, 9. A saturation up to k takes 1, 3 and 4 bits at k = 1,
-    7 and 8..9. The first coloring found depends on every vertex and color
-    choice the search makes, so equal witnesses pin the search tree.
+    7 and 8..9. The first coloring found depends on the vertex and color
+    choices on its own branch, and a None on none of them; the choice count
+    also pins the branches given up, so a search that notices a wipeout a
+    level late, and finds the same witness, fails here.
     """
 
     CASES = json.loads((Path(__file__).parent / "data" / "frozen_colorability.json").read_text(encoding="ascii"))
@@ -186,6 +211,15 @@ class TestFrozenColorability:
     def test_witness_unchanged(self, case):
         witness = _k_colorable(self._graph(case), case["k"])
         assert (None if witness is None else list(witness.colors)) == case["colors"]
+
+    @pytest.mark.parametrize(
+        "case",
+        CASES,
+        ids=[f"{c['graph']}-{c.get('n', '')}-{c.get('seed', '')}-k{c['k']}" for c in CASES],
+    )
+    def test_vertex_choices_unchanged(self, case):
+        _, choices = vertex_choices(self._graph(case), case["k"])
+        assert choices == case["choices"]
 
 
 class TestKColorable:
