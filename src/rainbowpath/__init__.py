@@ -10,12 +10,10 @@ from .chromatic import (
     canonical_form,
     chromatic_number,
     dsatur_coloring,
-    enumerate_colorings,
     iter_colorings,
 )
 from .colorful import ColorfulResult, ColorfulStep, colorful_path_from
 from .generators import (
-    GeneratorSpec,
     cycle_graph,
     kneser_graph,
     mycielski_iterates,
@@ -25,7 +23,6 @@ from .generators import (
 )
 from .graph6 import decode_graph6, encode_graph6, iter_corpus, write_corpus
 from .grading import (
-    ColorClassPartition,
     Grading,
     GradingOutcome,
     GradingTrace,

@@ -273,23 +273,3 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
         colors[v] = 0
 
     yield from rec(0, 0)
-
-
-@dataclass(frozen=True)
-class ColoringEnumeration:
-    colorings: tuple[Coloring, ...]
-    truncated: bool
-
-
-def enumerate_colorings(g: Graph, max_colors: int, cap: int) -> ColoringEnumeration:
-    """Collect up to cap canonical proper colorings, reporting truncation."""
-    if cap < 0:
-        raise GraphError("cap must be non-negative")
-    out: list[Coloring] = []
-    truncated = False
-    for coloring in iter_colorings(g, max_colors):
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(coloring)
-    return ColoringEnumeration(tuple(out), truncated)

@@ -17,7 +17,7 @@ import sys
 from .bounds import BoundsError, compute_bounds, guaranteed_length
 from .chromatic import chromatic_number
 from .colorful import ColorfulResult, colorful_path_from
-from .generators import GeneratorSpec
+from .generators import cycle_graph, kneser_graph, mycielski_iterates, random_triangle_free
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import ColoredGraph, Coloring, GraphError, classify_path
 from .grading import Grading, GradingOutcome, OutcomeKind, rainbow_or_witness
@@ -37,28 +37,31 @@ def _parse_coloring(text: str) -> Coloring:
         raise GraphError(f"bad coloring line: {exc}") from exc
 
 
+def _data_lines(path: str) -> list[str]:
+    """The non-blank lines of an ASCII input file that are not '#' comments."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII") from exc
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _read_coloring(args) -> Coloring:
     if args.coloring is not None:
         return _parse_coloring(args.coloring)
     if args.coloring_file is not None:
-        with open(args.coloring_file, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    return _parse_coloring(line)
-        raise GraphError(f"no coloring line found in {args.coloring_file}")
+        lines = _data_lines(args.coloring_file)
+        if not lines:
+            raise GraphError(f"no coloring line found in {args.coloring_file}")
+        return _parse_coloring(lines[0])
     raise GraphError("provide --coloring or --coloring-file")
 
 
 def read_grading_file(path: str) -> Grading:
     """Parse a grading file: one line per part listing vertex ids, followed
     by one line per part listing that part's coloring (same order)."""
-    lines = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                lines.append(line)
+    lines = _data_lines(path)
     if len(lines) % 2:
         raise GraphError(f"grading file needs 2 lines per part, got {len(lines)} lines")
     half = len(lines) // 2
@@ -112,17 +115,21 @@ def render_grading_trace(outcome: GradingOutcome) -> list[str]:
     return out
 
 
+# --kind -> the graphs it emits; each builder validates its own parameters
+_GENERATORS = {
+    "cycle": lambda args: [cycle_graph(args.n)],
+    "mycielskian-iterate": lambda args: mycielski_iterates(args.depth),
+    "kneser": lambda args: [kneser_graph(args.n, args.k)],
+    "random-triangle-free": lambda args: [
+        random_triangle_free(args.n, args.p, args.seed + i) for i in range(args.count)
+    ],
+}
+
+
 def _cmd_generate(args) -> int:
-    if args.kind == "cycle":
-        spec = GeneratorSpec("cycle", (args.n,))
-    elif args.kind == "mycielskian-iterate":
-        spec = GeneratorSpec("mycielskian-iterate", (args.depth,))
-    elif args.kind == "kneser":
-        spec = GeneratorSpec("kneser", (args.n, args.k))
-    else:
-        spec = GeneratorSpec("random-triangle-free", (args.n,), seed=args.seed,
-                             p=args.p, count=args.count)
-    lines = [encode_graph6(g) for g in spec.graphs()]
+    if args.count < 1:
+        raise GraphError("count must be positive")
+    lines = [encode_graph6(g) for g in _GENERATORS[args.kind](args)]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -243,16 +250,24 @@ def _add_coloring_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coloring-file", help="file whose first data line is the coloring")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like any other input error: argparse's own
+    exit code 2 is the one that means a violation was recorded."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowpath",
         description="Induced rainbow/colorful path workbench for triangle-free graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit graph families as graph6 lines")
-    p.add_argument("--kind", required=True,
-                   choices=["cycle", "mycielskian-iterate", "kneser", "random-triangle-free"])
+    p.add_argument("--kind", required=True, choices=list(_GENERATORS))
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--depth", type=int, default=2)

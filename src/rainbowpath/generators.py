@@ -4,9 +4,7 @@ and seeded random triangle-free graphs for corpus building."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .graphs import Graph, GraphError, build_graph
 
@@ -16,10 +14,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return build_graph(n, list(combinations(range(n), 2)))
 
 
 def mycielskian(g: Graph) -> Graph:
@@ -89,48 +83,3 @@ def random_triangle_free(n: int, p: float, seed: int) -> Graph:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))
-
-
-GENERATOR_KINDS = ("cycle", "mycielskian-iterate", "kneser", "random-triangle-free")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Validated recipe for one generated family."""
-
-    kind: str
-    parameters: tuple[int, ...]
-    seed: int = 0
-    p: float = 0.0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in GENERATOR_KINDS:
-            raise GraphError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "cycle":
-            if len(self.parameters) != 1 or self.parameters[0] < 3:
-                raise GraphError("cycle needs one parameter n >= 3")
-        elif self.kind == "mycielskian-iterate":
-            if len(self.parameters) != 1 or self.parameters[0] < 0:
-                raise GraphError("mycielskian-iterate needs a depth >= 0")
-        elif self.kind == "kneser":
-            if len(self.parameters) != 2 or self.parameters[0] < 2 * self.parameters[1] or self.parameters[1] < 1:
-                raise GraphError("kneser needs parameters n >= 2k >= 2")
-        else:
-            if len(self.parameters) != 1 or self.parameters[0] < 0:
-                raise GraphError("random-triangle-free needs one parameter n >= 0")
-            if not 0 <= self.p <= 1:
-                raise GraphError("edge probability outside [0, 1]")
-            if self.count < 1:
-                raise GraphError("count must be positive")
-
-    def graphs(self) -> Iterator[Graph]:
-        if self.kind == "cycle":
-            yield cycle_graph(self.parameters[0])
-        elif self.kind == "mycielskian-iterate":
-            yield from mycielski_iterates(self.parameters[0])
-        elif self.kind == "kneser":
-            yield kneser_graph(*self.parameters)
-        else:
-            for i in range(self.count):
-                yield random_triangle_free(self.parameters[0], self.p, self.seed + i)

@@ -21,7 +21,7 @@ trace of the intermediate objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -133,32 +133,19 @@ def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
     )
 
 
-@dataclass(frozen=True)
-class ColorClassPartition:
-    """Classes Z_1..Z_k from refining a grading by its part colorings.
-
-    origin maps each vertex to (part index, class index), both 0-based.
-    Each class meets each part in an independent set.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    origin: dict[int, tuple[int, int]] = field(hash=False)
-
-
-def refine_grading(cg: ColoredGraph, grading: Grading) -> ColorClassPartition:
-    """Split V into k classes by the per-part coloring of each vertex.
+def refine_grading(cg: ColoredGraph, grading: Grading) -> tuple[tuple[int, ...], ...]:
+    """Split V into k classes Z_1..Z_k, each sorted, by the per-part coloring
+    of each vertex.
 
     validate_grading proves each part coloring proper, so each class meets
     each part in an independent set.
     """
     validate_grading(cg.graph, grading)
     buckets: list[list[int]] = [[] for _ in range(grading.k)]
-    origin: dict[int, tuple[int, int]] = {}
-    for i, (part, coloring) in enumerate(zip(grading.parts, grading.part_colorings)):
+    for part, coloring in zip(grading.parts, grading.part_colorings):
         for v, c in zip(part, coloring):
             buckets[c - 1].append(v)
-            origin[v] = (i, c - 1)
-    return ColorClassPartition(classes=tuple(tuple(sorted(b)) for b in buckets), origin=origin)
+    return tuple(tuple(sorted(b)) for b in buckets)
 
 
 class OutcomeKind(Enum):
@@ -275,16 +262,14 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     if s < 3:
         raise GradingError(f"target order must be at least 3, got {s}")
     g = cg.graph
-    partition = refine_grading(cg, grading)
+    classes = refine_grading(cg, grading)
 
-    class_chis = tuple(
-        chromatic_number(induced_subgraph(g, cls).graph).chi for cls in partition.classes
-    )
+    class_chis = tuple(chromatic_number(induced_subgraph(g, cls).graph).chi for cls in classes)
     if g.n == 0:
         trace = GradingTrace(class_chis, 0, (), (), (), (), (), (), (), (), False)
         return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace)
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
-    class_vertices = partition.classes[j]
+    class_vertices = classes[j]
     orientation = _color_orientation(g.masks, cg.coloring.colors,
                                      sum(1 << v for v in class_vertices))
     arcs = sorted((u, w) for w, ins in orientation for u in _bits(ins))

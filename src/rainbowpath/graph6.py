@@ -8,6 +8,7 @@ string per line; '#'-prefixed lines are comments.
 from __future__ import annotations
 
 from pathlib import Path as FilePath
+from string import whitespace
 from typing import Iterator
 
 from .graphs import Graph, GraphError
@@ -75,7 +76,7 @@ def decode_graph6(text: str) -> Graph:
     Raises Graph6Error on illegal bytes, wrong body length, or nonzero
     padding bits.
     """
-    text = text.strip()
+    text = text.strip(whitespace)
     if text.startswith(HEADER):
         text = text[len(HEADER):]
     for ch in text:
@@ -106,10 +107,17 @@ def decode_graph6(text: str) -> Graph:
 
 
 def iter_corpus(path: str | FilePath) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, graph6_text) for each non-comment corpus line."""
-    with open(path, "r", encoding="ascii") as handle:
+    """Yield (line_number, graph6_text) for each non-comment corpus line.
+
+    Read as latin-1, which maps each byte to the character of the same
+    code, so a non-ASCII byte reaches decode_graph6 and is reported there
+    as an illegal graph6 byte instead of failing the whole read. Only ASCII
+    whitespace is stripped, here and there: str.strip() alone would also
+    take the bytes 0x85 and 0xa0.
+    """
+    with open(path, "r", encoding="latin-1") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
+            line = raw.strip(whitespace)
             if not line or line.startswith("#"):
                 continue
             yield lineno, line

@@ -167,7 +167,6 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
 
     arena, pivots = _colorful_arena(g, chi, cfg.thorough) if g.n else (None, [])
     checks: list[CheckRecord] = []
-    min_rainbow = g.n if g.n else 0
     witness: tuple[int, ...] | None = None
     needed = -(-chi // 2)
 
@@ -195,7 +194,6 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
                 gallai_roy_order=gallai.order,
             )
         )
-        min_rainbow = min(min_rainbow, rainbow)
         if rainbow < chi and witness is None:
             witness = coloring.colors
             log.warning(
@@ -217,8 +215,8 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         chi=chi,
         colorings_checked=len(checks),
         truncated=truncated,
-        min_rainbow_order_observed=min_rainbow if checks else 0,
-        holds_for_all_checked=all(r.rainbow_order >= chi for r in checks),
+        min_rainbow_order_observed=min((r.rainbow_order for r in checks), default=0),
+        holds_for_all_checked=witness is None,
         witness_coloring=witness,
         checks=tuple(checks),
     )

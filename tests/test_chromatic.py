@@ -13,7 +13,6 @@ from rainbowpath import (
     chromatic_number,
     cycle_graph,
     dsatur_coloring,
-    enumerate_colorings,
     is_proper,
     iter_colorings,
     mycielski_iterates,
@@ -238,30 +237,23 @@ class TestKColorable:
 
 class TestEnumerateColorings:
     def test_k2_single_canonical(self, k2):
-        enum = enumerate_colorings(k2, max_colors=2, cap=100)
-        assert [c.colors for c in enum.colorings] == [(1, 2)]
-        assert not enum.truncated
+        assert [c.colors for c in iter_colorings(k2, 2)] == [(1, 2)]
 
     def test_c5_matches_brute_force(self, c5):
         expected = naive_canonical_colorings(c5, 3)
-        enum = enumerate_colorings(c5, max_colors=3, cap=1000)
-        assert {c.colors for c in enum.colorings} == expected
+        emitted = [c.colors for c in iter_colorings(c5, 3)]
+        assert set(emitted) == expected
         # thirty proper 3-colorings collapse to five canonical classes
-        assert len(enum.colorings) == 5
+        assert len(emitted) == 5
 
     def test_path3_matches_brute_force(self):
         p3 = build_graph(3, [(0, 1), (1, 2)])
-        expected = naive_canonical_colorings(p3, 2)
-        enum = enumerate_colorings(p3, max_colors=2, cap=100)
-        assert {c.colors for c in enum.colorings} == expected
-        assert len(enum.colorings) == 1
-
-    def test_cap_and_truncation(self, c5):
-        enum = enumerate_colorings(c5, max_colors=3, cap=2)
-        assert len(enum.colorings) == 2 and enum.truncated
+        emitted = [c.colors for c in iter_colorings(p3, 2)]
+        assert set(emitted) == naive_canonical_colorings(p3, 2)
+        assert len(emitted) == 1
 
     def test_infeasible_palette_is_empty(self, c5):
-        assert enumerate_colorings(c5, max_colors=2, cap=10).colorings == ()
+        assert list(iter_colorings(c5, 2)) == []
 
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)

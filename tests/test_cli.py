@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rainbowpath import build_graph, cycle_graph, decode_graph6, encode_graph6
+from rainbowpath import build_graph, cycle_graph, decode_graph6, encode_graph6, petersen_graph
 from rainbowpath.cli import main, read_grading_file
 
 
@@ -36,6 +36,57 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--kind", "cycle", "--n", "2")
         assert code == 1 and "error" in err
 
+    def test_kneser_5_2_is_petersen(self, capsys):
+        code, out, _ = run(capsys, "generate", "--kind", "kneser", "--n", "5", "--k", "2")
+        assert code == 0
+        assert decode_graph6(out.strip()) == petersen_graph()
+
+    def test_random_count(self, capsys):
+        code, out, _ = run(
+            capsys, "generate", "--kind", "random-triangle-free",
+            "--n", "8", "--p", "0.4", "--count", "4", "--seed", "3",
+        )
+        assert code == 0
+        lines = out.split()
+        assert len(lines) == 4 and len(set(lines)) > 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "kneser", "--n", "3", "--k", "2"),
+        ("--kind", "random-triangle-free", "--p", "2.0"),
+        ("--kind", "mycielskian-iterate", "--depth", "-1"),
+    ])
+    def test_builder_rejects_parameters_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_count_zero_exit_one(self, capsys):
+        code, out, err = run(capsys, "generate", "--kind", "random-triangle-free", "--count", "0")
+        assert code == 1 and out == ""
+        assert err == "error: count must be positive\n"
+
+
+class TestUsageErrors:
+    """A usage error exits 1, as an input error does; 2 means a violation
+    was recorded."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check",),
+        ("check", "Dhc", "--cap", "x"),
+        ("generate", "--kind", "unknown"),
+    ])
+    def test_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: rainbowpath") and "error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert "--cap" in capsys.readouterr().out
+
 
 class TestBounds:
     def test_table(self, capsys):
@@ -67,6 +118,15 @@ class TestConstruct:
         )
         assert code == 0 and "induced: True" in out
 
+    def test_non_ascii_coloring_file_exit_one(self, capsys, tmp_path, c5):
+        f = tmp_path / "coloring.txt"
+        f.write_bytes(b"# colors\n1 2 1 2 \xe9\n")
+        code, out, err = run(
+            capsys, "construct", encode_graph6(c5), "--coloring-file", str(f),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {f}: byte 0xe9 is not ASCII\n"
+
 
 class TestLemma1Command:
     def test_c5_singleton_grading(self, capsys, tmp_path, c5):
@@ -92,6 +152,16 @@ class TestLemma1Command:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: bad grading file") and "'x'" in err
+
+    def test_non_ascii_grading_file_exit_one(self, capsys, tmp_path, c5):
+        grading = tmp_path / "grading.txt"
+        grading.write_bytes(b"0 1 2 3 4\n1 2 1 2 \xe9\n")
+        code, out, err = run(
+            capsys, "lemma1", encode_graph6(c5),
+            "--coloring", "1 2 1 2 3", "--grading-file", str(grading), "--s", "3",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {grading}: byte 0xe9 is not ASCII\n"
 
     def test_grading_file_round_trip(self, tmp_path):
         f = tmp_path / "grading.txt"
@@ -135,6 +205,15 @@ class TestCorpusCommand:
         assert "graphs processed: 2" in out
         assert "violations found: 0" in out
         assert len(out_file.read_text().splitlines()) == 2
+
+    def test_non_ascii_line_skipped(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_bytes(b"Dhc\n\xe9\nDhc\xa0\nDhc\n")
+        code, out, _ = run(capsys, "corpus", str(corpus), "--cap", "10")
+        assert code == 0
+        assert "graphs processed: 2" in out
+        assert "skipped line2: malformed graph6: illegal graph6 byte 233" in out
+        assert "skipped line3: malformed graph6: illegal graph6 byte 160" in out
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.g6"))

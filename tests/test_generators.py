@@ -3,11 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowpath import (
-    GeneratorSpec,
     GraphError,
     build_graph,
     chromatic_number,
-    cycle_graph,
     is_triangle_free,
     kneser_graph,
     mycielski_iterates,
@@ -103,28 +101,3 @@ class TestRandomTriangleFree:
     def test_invalid_probability(self):
         with pytest.raises(GraphError):
             random_triangle_free(5, 1.5, seed=0)
-
-
-class TestGeneratorSpec:
-    def test_cycle(self):
-        spec = GeneratorSpec("cycle", (5,))
-        assert list(spec.graphs())[0] == cycle_graph(5)
-
-    def test_mycielski_family(self):
-        spec = GeneratorSpec("mycielskian-iterate", (2,))
-        assert [g.n for g in spec.graphs()] == [2, 5, 11]
-
-    def test_random_count(self):
-        spec = GeneratorSpec("random-triangle-free", (8,), seed=3, p=0.4, count=4)
-        out = list(spec.graphs())
-        assert len(out) == 4 and len({g for g in out}) > 1
-
-    def test_validation(self):
-        with pytest.raises(GraphError):
-            GeneratorSpec("cycle", (2,))
-        with pytest.raises(GraphError):
-            GeneratorSpec("kneser", (3, 2))
-        with pytest.raises(GraphError):
-            GeneratorSpec("random-triangle-free", (5,), p=2.0)
-        with pytest.raises(GraphError):
-            GeneratorSpec("unknown", (1,))

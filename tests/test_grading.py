@@ -86,12 +86,10 @@ class TestGradingValidation:
 class TestRefineGrading:
     def test_single_part_gives_color_classes(self, c5, c5_colored):
         gr = whole_graph_grading(c5, (1, 2, 1, 2, 3), k=3)
-        partition = refine_grading(c5_colored, gr)
-        assert partition.classes == ((0, 2), (1, 3), (4,))
+        assert refine_grading(c5_colored, gr) == ((0, 2), (1, 3), (4,))
 
     def test_singleton_parts_single_class(self, c5, c5_colored):
-        partition = refine_grading(c5_colored, singleton_grading(c5))
-        assert partition.classes == ((0, 1, 2, 3, 4),)
+        assert refine_grading(c5_colored, singleton_grading(c5)) == ((0, 1, 2, 3, 4),)
 
     def test_two_part_example(self, c5, c5_colored):
         gr = Grading(
@@ -99,10 +97,10 @@ class TestRefineGrading:
             part_colorings=((1, 2, 1), (1, 2)),
             k=2,
         )
-        partition = refine_grading(c5_colored, gr)
-        assert partition.classes == ((0, 2, 3), (1, 4))
-        assert partition.origin[0] == (0, 0)
-        assert partition.origin[4] == (1, 1)
+        classes = refine_grading(c5_colored, gr)
+        assert classes == ((0, 2, 3), (1, 4))
+        assert gr.part_of[0] == 0 and 0 in classes[0]
+        assert gr.part_of[4] == 1 and 4 in classes[1]
 
     def test_classes_meet_parts_independently(self, c5, c5_colored):
         gr = Grading(
@@ -110,11 +108,10 @@ class TestRefineGrading:
             part_colorings=((1, 2, 1), (1, 2)),
             k=2,
         )
-        partition = refine_grading(c5_colored, gr)
         g = c5
-        for cls in partition.classes:
+        for cls in refine_grading(c5_colored, gr):
             for i in range(len(gr.parts)):
-                inside = [v for v in cls if partition.origin[v][0] == i]
+                inside = [v for v in cls if gr.part_of[v] == i]
                 for a in inside:
                     for b in inside:
                         assert a == b or not g.has_edge(a, b)
@@ -153,7 +150,7 @@ class TestProcedureOutcomes:
         outcome = rainbow_or_witness(cg, gr, 3)
         assert outcome.kind is OutcomeKind.NO_GUARANTEE
 
-    def test_complete_graph_not_restricted_to_triangle_free(self):
+    def test_k8_not_restricted_to_triangle_free(self):
         # the graded procedure is stated for arbitrary colored graphs; on a
         # complete graph the color-sorted tournament makes the first vertex
         # of the longest forward path a witness

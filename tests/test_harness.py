@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,13 @@ from rainbowpath import (
     check_graph,
     cycle_graph,
     encode_graph6,
+    iter_colorings,
     mycielski_iterates,
     report_to_json,
     run_corpus,
 )
 from rainbowpath.graphs import GraphError
+from rainbowpath.harness import coloring_digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +41,16 @@ class TestCheckGraph:
         for record in report.checks:
             assert record.gallai_roy_order >= report.chi
             assert record.colorful_colors >= -(-report.chi // 2)
+
+    @pytest.mark.parametrize("cap, truncated", [(2, True), (5, False)])
+    def test_cap_and_truncation(self, c5, cap, truncated):
+        # C5 has five canonical 3-colorings: a cap of 5 takes them all and
+        # is not truncated, a cap of 2 takes the first two and is
+        report = check_graph(c5, HarnessConfig(coloring_cap=cap))
+        assert report.colorings_checked == cap
+        assert report.truncated is truncated
+        first = [coloring_digest(c) for c in islice(iter_colorings(c5, 3), cap)]
+        assert [r.coloring_digest for r in report.checks] == first
 
     def test_grotzsch_capped(self, grotzsch):
         report = check_graph(grotzsch, HarnessConfig(coloring_cap=100))

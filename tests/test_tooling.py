@@ -8,11 +8,14 @@ the rest of the session run."""
 import importlib
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rainbowpath import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -91,3 +94,19 @@ def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+README = PERFBENCH.parent / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    """Every command line in the README's CLI block parses with the parser
+    the `rainbowpath` command uses."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("rainbowpath ")]
+    assert len(commands) == 10
+    parser = cli.build_parser()
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert parser.parse_args(argv).command == argv[0], command
