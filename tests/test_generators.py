@@ -6,12 +6,14 @@ from rainbowpath import (
     GraphError,
     build_graph,
     chromatic_number,
+    cycle_graph,
     is_triangle_free,
     kneser_graph,
     mycielski_iterates,
     mycielskian,
     random_triangle_free,
 )
+from rainbowpath.cli import _GENERATORS, build_parser
 from test_graphs import graphs
 
 
@@ -101,3 +103,19 @@ class TestRandomTriangleFree:
     def test_invalid_probability(self):
         with pytest.raises(GraphError):
             random_triangle_free(5, 1.5, seed=0)
+
+
+class TestGeneratorSpec:
+    """The generate command's --kind table: parsed arguments -> the graphs it emits."""
+
+    @staticmethod
+    def emitted(*argv):
+        args = build_parser().parse_args(["generate", *argv])
+        return list(_GENERATORS[args.kind](args))
+
+    def test_cycle(self):
+        assert self.emitted("--kind", "cycle", "--n", "5") == [cycle_graph(5)]
+
+    def test_mycielski_family(self):
+        out = self.emitted("--kind", "mycielskian-iterate", "--depth", "2")
+        assert [g.n for g in out] == [2, 5, 11]
