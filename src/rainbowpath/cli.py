@@ -194,12 +194,13 @@ def _cmd_lemma1(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = decode_graph6(args.graph6)
+    colored = args.coloring is not None or args.coloring_file is not None
+    cg = ColoredGraph(g, _read_coloring(args)) if colored else None
     budget = SearchBudget(max_nodes=args.budget, on_exceed="flag")
     lip = longest_induced_path(g, budget)
     print(f"longest induced path: {list(lip.path.vertices)} "
           f"(order {lip.path.order}, exact={lip.exact})")
-    if args.coloring is not None or args.coloring_file is not None:
-        cg = ColoredGraph(g, _read_coloring(args))
+    if cg is not None:
         rainbow = longest_induced_rainbow_path(cg, budget)
         print(f"longest induced rainbow path: {list(rainbow.path.vertices)} "
               f"(order {rainbow.path.order}, exact={rainbow.exact})")

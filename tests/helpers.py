@@ -165,6 +165,27 @@ def naive_chromatic_number(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def naive_dsatur(g: Graph) -> Coloring:
+    """Greedy DSATUR (Brelaz 1979) with a set of neighbor colors per vertex:
+    the uncolored vertex with the most distinct colors on its neighbors goes
+    first, ties by higher degree, then smaller id; it takes the smallest
+    color not on a neighbor."""
+    colors = [0] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    uncolored = set(range(g.n))
+    while uncolored:
+        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u))
+        c = 1
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored.remove(v)
+        for u in g.neighbors(v):
+            if colors[u] == 0:
+                neighbor_colors[u].add(c)
+    return Coloring(tuple(colors))
+
+
 def naive_canonical_colorings(g: Graph, max_colors: int) -> set[tuple[int, ...]]:
     """Brute force all assignments, keep proper ones, canonicalize, dedupe."""
     edges = list(g.edges())

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from helpers import (
     is_bipartite_bfs,
     naive_canonical_colorings,
     naive_chromatic_number,
+    naive_dsatur,
     naive_is_proper,
 )
 from test_graphs import graphs
@@ -47,6 +49,27 @@ class TestDsatur:
         coloring = dsatur_coloring(g)
         assert is_proper(g, coloring)
         assert coloring.palette_size >= chromatic_number(g).chi
+        assert coloring == naive_dsatur(g)
+
+    def test_matches_naive_on_every_graph_on_five_vertices(self):
+        for g in every_graph(5):
+            assert dsatur_coloring(g) == naive_dsatur(g)
+
+    def test_matches_naive_on_frozen_colorability_graphs(self):
+        seen = set()
+        for case in TestFrozenColorability.CASES:
+            g = TestFrozenColorability._graph(case)
+            if g not in seen:
+                seen.add(g)
+                assert dsatur_coloring(g) == naive_dsatur(g)
+        assert len(seen) == 54
+
+    def test_deep_odd_cycle(self):
+        # as many vertices on one descent as the cycle has
+        g = cycle_graph(3001)
+        coloring = dsatur_coloring(g)
+        assert is_proper(g, coloring)
+        assert coloring.palette_size == 3
 
 
 class TestChromaticNumber:
@@ -155,24 +178,31 @@ class TestOddCycleCertificate:
 
 
 def vertex_choices(g, k):
-    """_k_colorable(g, k) and the number of vertices its search picks, that
-    is, calls of its inner assign, counted by a profiler hook so that the
-    search carries no counter of its own."""
-    assign = next(c for c in _k_colorable.__code__.co_consts if getattr(c, "co_name", None) == "assign")
-    calls = 0
+    """_k_colorable(g, k) and the number of vertices its search picks: the
+    root choice, plus one for each frame its loop pushes before it picks the
+    next vertex. Pushes are counted as line events on the line that pushes,
+    found by its source text, so that the search carries no counter of its
+    own."""
+    lines, first = inspect.getsourcelines(_k_colorable)
+    (push,) = [first + i for i, line in enumerate(lines) if "stack.append(" in line]
+    pushes = 0
 
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is assign:
-            calls += 1
+    def local(frame, event, arg):
+        nonlocal pushes
+        if event == "line" and frame.f_lineno == push:
+            pushes += 1
+        return local
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
+    def trace(frame, event, arg):
+        return local if frame.f_code is _k_colorable.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
         witness = _k_colorable(g, k)
     finally:
-        sys.setprofile(previous)
-    return witness, calls
+        sys.settrace(previous)
+    return witness, 1 + pushes
 
 
 class TestFrozenColorability:
@@ -222,6 +252,16 @@ class TestFrozenColorability:
 
 
 class TestKColorable:
+    def test_deep_even_cycle(self):
+        # a descent of 3,000 vertices, deeper than a recursive search can go
+        g = cycle_graph(3000)
+        witness = _k_colorable(g, 2)
+        assert witness is not None and is_proper(g, witness)
+        assert set(witness.colors) == {1, 2}
+
+    def test_deep_odd_cycle(self):
+        assert _k_colorable(cycle_graph(3001), 2) is None
+
     def test_every_graph_on_five_vertices(self):
         # k-colorable exactly when k >= chi by brute force, with a proper
         # witness on colors 1..k

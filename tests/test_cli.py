@@ -180,6 +180,17 @@ class TestOracleCommand:
         assert "longest induced rainbow path" in out and "order 3" in out
         assert "color-orientation path: [2, 3, 4]" in out
 
+    def test_bad_coloring_file_exits_before_any_search(self, capsys, tmp_path, c5):
+        coloring = tmp_path / "col.txt"
+        coloring.write_bytes("caf\u00e9 1 2\n".encode("utf-8"))
+        code, out, err = run(capsys, "oracle", encode_graph6(c5), "--coloring-file", str(coloring))
+        assert code == 1 and out == ""
+        assert err == f"error: {coloring}: byte 0xc3 is not ASCII\n"
+
+    def test_improper_coloring_exits_before_any_search(self, capsys, c5):
+        code, out, err = run(capsys, "oracle", encode_graph6(c5), "--coloring", "1 1 2 1 2")
+        assert code == 1 and out == "" and err.startswith("error: ")
+
 
 class TestCheckCommand:
     def test_c5(self, capsys, c5):
