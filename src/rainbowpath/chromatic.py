@@ -245,29 +245,37 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
     Canonical means colors are named by first occurrence along vertex order,
     so no two emitted colorings are color permutations of each other. Emission
     order is lexicographic over vertex-id-ordered assignments.
+
+    One loop over the vertices, forward to color and back to retry, with no
+    recursion: color c is free for v when lower[v] & members[c] is empty,
+    where lower[v] masks v's smaller neighbors and members[c] the vertices
+    colored c, and used[v] is the largest color among vertices before v.
     """
     if max_colors < 1:
         return
     n = g.n
-    if n == 0:
-        yield Coloring(())
-        return
-    lower = [
-        [u for u in _bits(g.masks[v]) if u < v]
-        for v in range(n)
-    ]
+    lower = [g.masks[v] & ((1 << v) - 1) for v in range(n)]
+    members = [0] * (max_colors + 1)
     colors = [0] * n
-
-    def rec(v: int, used: int) -> Iterator[Coloring]:
+    used = [0] * (n + 1)
+    v = 0
+    while v >= 0:
         if v == n:
             yield Coloring(tuple(colors))
-            return
-        taken = {colors[u] for u in lower[v]}
-        for c in range(1, min(used + 1, max_colors) + 1):
-            if c in taken:
-                continue
+            v -= 1
+            continue
+        c = colors[v]
+        if c:
+            members[c] ^= 1 << v
+        last = used[v] + 1 if used[v] < max_colors else max_colors  # faster than min()
+        c += 1
+        while c <= last and lower[v] & members[c]:
+            c += 1
+        if c > last:
+            colors[v] = 0
+            v -= 1
+        else:
             colors[v] = c
-            yield from rec(v + 1, max(used, c))
-        colors[v] = 0
-
-    yield from rec(0, 0)
+            members[c] |= 1 << v
+            used[v + 1] = c if c > used[v] else used[v]
+            v += 1

@@ -13,8 +13,14 @@ The recursion trusts the caller's chromatic lower bound and passes it down
 decremented by two, exactly like the induction it implements; strict mode
 additionally recomputes the exact chromatic number of every recursed
 subgraph for trace auditing. It works on vertex bitmasks of the original
-graph, and what depends only on the graph (the entry checks and the
-chromatic number of each vertex set it compares) is computed once per graph.
+graph, and what depends only on the graph (the entry checks, each vertex's
+component and the chromatic number of each vertex set it compares) is
+computed once per graph.
+
+The graph need not be connected: the construction runs inside the start
+vertex's connected component, as the induction does inside a connected
+graph. chi(G) is attained by some component, and a start there can use the
+full bound.
 """
 
 from __future__ import annotations
@@ -69,10 +75,11 @@ class ColorfulResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _graph_facts(g: Graph) -> tuple[bool, bool, int, Callable[[int], int]]:
+def _graph_facts(g: Graph) -> tuple[bool, list[int], list[int], Callable[[int], int]]:
     """What the construction needs to know about g whatever its coloring:
-    triangle-free, connected, the DSATUR palette size, and a memoized chi of
-    the subgraph induced by a vertex bitmask.
+    triangle-free; per vertex, the bitmask of its connected component and an
+    upper bound on that component's chi (the colors DSATUR uses on it); and a
+    memoized chi of the subgraph induced by a vertex bitmask.
 
     A sweep runs the construction for every coloring and pivot of one graph
     in a row; keeping only the latest graph's facts bounds memory.
@@ -80,35 +87,44 @@ def _graph_facts(g: Graph) -> tuple[bool, bool, int, Callable[[int], int]]:
     chi = functools.cache(
         lambda subset: chromatic_number(induced_subgraph(g, _bits(subset)).graph).chi
     )
-    return (is_triangle_free(g), len(connected_components(g)) == 1,
-            dsatur_coloring(g).palette_size, chi)
+    colors = dsatur_coloring(g).colors
+    component = [0] * g.n
+    upper_bound = [0] * g.n
+    for comp in connected_components(g):
+        mask = sum(1 << v for v in comp)
+        palette = len({colors[v] for v in comp})
+        for v in comp:
+            component[v] = mask
+            upper_bound[v] = palette
+    return is_triangle_free(g), component, upper_bound, chi
 
 
 def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
                        strict: bool = False) -> ColorfulResult:
     """Induced path from `start` seeing at least ceil(chi_lb/2) colors.
 
-    Requires a connected triangle-free graph and chi_lb no larger than the
-    exact chromatic number (checked against a cheap upper bound; a genuinely
-    overstated bound surfaces as a structural error during recursion).
+    Runs inside the connected component of `start`, so the graph need not be
+    connected. Requires a triangle-free graph and chi_lb no larger than the
+    chromatic number of that component, checked against a cheap upper bound:
+    the colors a DSATUR coloring uses on it. A bound overstated past that
+    check surfaces as a structural error during recursion, or not at all
+    when the path still sees ceil(chi_lb/2) colors.
     """
     g = cg.graph
     if not 0 <= start < g.n:
         raise GraphError(f"start vertex {start} not in graph")
     if chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    triangle_free, connected, upper_bound, chi = _graph_facts(g)
+    triangle_free, component, upper_bound, chi = _graph_facts(g)
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
-    if not connected:
-        raise GraphError("construction requires a connected graph")
-    if chi_lb > upper_bound:
+    if chi_lb > upper_bound[start]:
         raise GraphError(
             f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound"
         )
 
     steps: list[ColorfulStep] = []
-    path = _recurse(cg, chi, (1 << g.n) - 1, start, chi_lb, 0, steps, strict)
+    path = _recurse(cg, chi, component[start], start, chi_lb, 0, steps, strict)
     steps.sort(key=lambda st: st.level)
     result = Path(path)
     report = classify_path(cg, result.vertices)

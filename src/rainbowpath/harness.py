@@ -16,6 +16,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path as FilePath
 from typing import Iterator
 
@@ -27,7 +28,6 @@ from .graphs import (
     Coloring,
     Graph,
     GraphError,
-    InducedSubgraph,
     connected_components,
     induced_subgraph,
     is_triangle_free,
@@ -117,21 +117,16 @@ def _sample_colorings(g: Graph, max_colors: int, count: int, rng: random.Random,
     return out
 
 
-def _colorful_arena(g: Graph, chi: int, thorough: bool) -> tuple[InducedSubgraph | None, list[int]]:
-    """Arena and pivot vertices for the colorful construction.
-
-    Vertex 0 when the graph is connected (arena None means: use the whole
-    graph); otherwise the construction needs a component whose chromatic
-    number attains chi, so the arena is the subgraph induced by the first
-    such component and the pivots, vertex ids of g, come from it.
+def _colorful_pivots(g: Graph, chi: int, thorough: bool) -> list[int]:
+    """Start vertices for the colorful construction, which runs in its
+    start's component: the first component whose chromatic number attains
+    chi (the only one when g is connected), its smallest vertex or, when
+    thorough, all of its vertices.
     """
     comps = connected_components(g)
-    if len(comps) == 1:
-        return None, (list(range(g.n)) if thorough else [0])
     for comp in comps:
-        sub = induced_subgraph(g, comp)
-        if chromatic_number(sub.graph).chi == chi:
-            return sub, (list(comp) if thorough else [comp[0]])
+        if len(comps) == 1 or chromatic_number(induced_subgraph(g, comp).graph).chi == chi:
+            return list(comp) if thorough else [comp[0]]
     raise GraphError("no component attains the graph's chromatic number")
 
 
@@ -146,26 +141,26 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
 
     Enumerates canonical colorings with at most chi + max_colors_delta colors
     up to the cap, optionally tops up with seeded random samples, and runs
-    the three probes under every coloring.
+    the three probes under every coloring. The colorful construction starts
+    from the pivots of _colorful_pivots and stays in their component, so a
+    disconnected graph takes the same path as a connected one. The empty
+    graph is checked under no coloring, whatever the delta.
     """
     if not is_triangle_free(g):
         raise GraphError(f"{graph_id}: graph contains a triangle")
     chi = chromatic_number(g).chi
     max_colors = chi + cfg.max_colors_delta
 
-    colorings: list[Coloring] = []
-    truncated = False
-    for coloring in iter_colorings(g, max_colors):
-        if len(colorings) == cfg.coloring_cap:
-            truncated = True
-            break
-        colorings.append(coloring)
+    # the empty coloring leaves the probes nothing to search
+    enumerated = iter_colorings(g, max_colors if g.n else 0)
+    colorings = list(islice(enumerated, cfg.coloring_cap))
+    truncated = next(enumerated, None) is not None
     if truncated and cfg.extra_samples:
         rng = random.Random(f"{cfg.seed}:{graph_id}")
         seen = {c.colors for c in colorings}
         colorings.extend(_sample_colorings(g, max_colors, cfg.extra_samples, rng, seen))
 
-    arena, pivots = _colorful_arena(g, chi, cfg.thorough) if g.n else (None, [])
+    pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
     checks: list[CheckRecord] = []
     witness: tuple[int, ...] | None = None
     needed = -(-chi // 2)
@@ -174,17 +169,8 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         cg = ColoredGraph(g, coloring)
         rainbow = longest_induced_rainbow_path(cg, cfg.budget).path.order
         gallai = gallai_roy_rainbow_path(cg)
-        colorful_colors = g.n
-        colorful_pivot = pivots[0] if pivots else 0
-        arena_cg = cg if arena is None else ColoredGraph(
-            arena.graph, Coloring(tuple(coloring.colors[v] for v in arena.to_parent))
-        )
-        for pivot in pivots:
-            start = pivot if arena is None else arena.to_sub[pivot]
-            count = _colorful_count(arena_cg, start, chi)
-            if count < colorful_colors:
-                colorful_colors = count
-                colorful_pivot = pivot
+        # the first pivot among those that see the fewest colors
+        colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
         checks.append(
             CheckRecord(
                 coloring_digest=coloring_digest(coloring),
@@ -223,29 +209,12 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
 
 
 def report_to_json(report: ConjectureReport) -> str:
-    """Stable single-line JSON rendering (field order fixed, no timestamps)."""
-    payload = {
-        "graph_id": report.graph_id,
-        "graph6": report.graph6,
-        "n": report.n,
-        "m": report.m,
-        "chi": report.chi,
-        "colorings_checked": report.colorings_checked,
-        "truncated": report.truncated,
-        "min_rainbow_order_observed": report.min_rainbow_order_observed,
-        "holds_for_all_checked": report.holds_for_all_checked,
-        "witness_coloring": list(report.witness_coloring) if report.witness_coloring else None,
-        "checks": [
-            {
-                "coloring_digest": r.coloring_digest,
-                "rainbow_order": r.rainbow_order,
-                "colorful_colors": r.colorful_colors,
-                "colorful_pivot": r.colorful_pivot,
-                "gallai_roy_order": r.gallai_roy_order,
-            }
-            for r in report.checks
-        ],
-    }
+    """Stable single-line JSON rendering: the fields of ConjectureReport and
+    CheckRecord in their declaration order, no timestamps.
+
+    vars() rather than dataclasses.asdict, which deep-copies every record.
+    """
+    payload = {**vars(report), "checks": [vars(r) for r in report.checks]}
     return json.dumps(payload, separators=(",", ":"))
 
 

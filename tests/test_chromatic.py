@@ -295,6 +295,14 @@ class TestEnumerateColorings:
     def test_infeasible_palette_is_empty(self, c5):
         assert list(iter_colorings(c5, 2)) == []
 
+    def test_deep_even_cycle(self):
+        # 3,000 vertices, deeper than a recursive enumeration can go; the
+        # one canonical 2-coloring alternates
+        assert [c.colors for c in iter_colorings(cycle_graph(3000), 2)] == [(1, 2) * 1500]
+
+    def test_deep_odd_cycle(self):
+        assert list(iter_colorings(cycle_graph(3001), 2)) == []
+
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_emissions_proper_canonical_and_complete(self, g):
@@ -306,6 +314,7 @@ class TestEnumerateColorings:
         seen = {c.colors for c in emitted}
         assert len(seen) == len(emitted)
         assert seen == naive_canonical_colorings(g, max_colors)
+        assert [c.colors for c in emitted] == sorted(seen)
 
     def test_lexicographic_order(self, c5):
         emitted = [c.colors for c in iter_colorings(c5, 3)]

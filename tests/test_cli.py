@@ -226,6 +226,19 @@ class TestCorpusCommand:
         assert "skipped line2: malformed graph6: illegal graph6 byte 233" in out
         assert "skipped line3: malformed graph6: illegal graph6 byte 160" in out
 
+    def test_empty_graph_with_delta(self, capsys, tmp_path):
+        """The empty graph is checked under no coloring at any delta, as at
+        delta 0, and the graph after it is still reported."""
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("?\nDhc\n")
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run(capsys, "corpus", str(corpus), "--delta", "1", "--out", str(out_file))
+        assert code == 0
+        assert "graphs processed: 2" in out
+        empty, c5 = map(json.loads, out_file.read_text().splitlines())
+        assert (empty["n"], empty["colorings_checked"], empty["checks"]) == (0, 0, [])
+        assert c5["chi"] == 3 and c5["holds_for_all_checked"]
+
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.g6"))
         assert code == 1 and "error" in err

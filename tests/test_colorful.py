@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from pathlib import Path
@@ -15,6 +16,7 @@ from rainbowpath import (
     classify_path,
     colorful_path_from,
     dsatur_coloring,
+    induced_subgraph,
     iter_colorings,
     max_colorful_induced_path_from,
     mycielski_iterates,
@@ -86,13 +88,54 @@ class TestWorkedExample:
             check_steps(cg, result)
 
 
-class TestErrors:
-    def test_disconnected_rejected(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        cg = ColoredGraph(g, Coloring((1, 2, 1, 2)))
-        with pytest.raises(GraphError):
-            colorful_path_from(cg, 0, 2)
+class TestDisconnected:
+    """On C5 + Grotzsch (vertices 0-4 and 5-15) the construction runs in its
+    start's component, as it would on that component alone."""
 
+    VERTEX_FIELDS = ("start", "pivot", "bridge")
+    NON_VERTEX_FIELDS = ("level", "chi_lb", "removed_color", "recomputed_chi")
+
+    @pytest.fixture(scope="class")
+    def g(self, c5, grotzsch):
+        return build_graph(16, list(c5.edges()) + [(5 + u, 5 + v) for u, v in grotzsch.edges()])
+
+    @pytest.fixture(scope="class")
+    def colorings(self, g):
+        return [chromatic_number(g).witness, *itertools.islice(iter_colorings(g, 4), 0, 600, 100)]
+
+    def lift(self, step, up):
+        """The step with every vertex id mapped through up."""
+        changes = {}
+        for f in dataclasses.fields(ColorfulStep):
+            value = getattr(step, f.name)
+            if f.name in self.VERTEX_FIELDS:
+                changes[f.name] = up[value]
+            elif f.name not in self.NON_VERTEX_FIELDS:
+                changes[f.name] = tuple(up[u] for u in value)
+        return dataclasses.replace(step, **changes)
+
+    def test_matches_construction_on_component(self, g, colorings):
+        sub = induced_subgraph(g, range(5, 16))
+        up = sub.to_parent
+        for coloring in colorings:
+            cg = ColoredGraph(g, coloring)
+            sub_cg = ColoredGraph(sub.graph, Coloring(tuple(coloring.colors[v] for v in up)))
+            for start in up:
+                whole = colorful_path_from(cg, start, 4, strict=True)
+                alone = colorful_path_from(sub_cg, sub.to_sub[start], 4, strict=True)
+                assert whole.path.vertices == tuple(up[u] for u in alone.path.vertices)
+                assert whole.steps == tuple(self.lift(st, up) for st in alone.steps)
+                assert whole.steps, "chi_lb 4 takes at least one recursion level"
+
+    def test_bound_overstated_for_start_component_rejected(self, g, colorings):
+        for coloring in colorings:
+            cg = ColoredGraph(g, coloring)
+            for start in range(5):
+                with pytest.raises(GraphError):
+                    colorful_path_from(cg, start, 4)
+
+
+class TestErrors:
     def test_triangle_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         cg = ColoredGraph(g, Coloring((1, 2, 3)))

@@ -76,9 +76,9 @@ class TestCheckGraph:
 
     def test_disconnected_arena_report_frozen(self, c5, grotzsch):
         # C5 then Grotzsch: chi 4 comes from the second component, so the
-        # construction runs on its induced subgraph, whose ids are shifted by
-        # five, from every pivot. The report was frozen before the harness
-        # built that subgraph once per graph instead of once per pivot.
+        # construction runs in that component from every pivot. The report
+        # was frozen when the harness ran it on the component's induced
+        # subgraph, whose ids are shifted by five, and mapped pivots back.
         g = build_graph(16, list(c5.edges()) + [(5 + u, 5 + v) for u, v in grotzsch.edges()])
         report = check_graph(g, HarnessConfig(coloring_cap=30, thorough=True), "c5+grotzsch")
         frozen = (DATA / "c5_grotzsch_report.json").read_text(encoding="ascii")

@@ -1,10 +1,12 @@
 """The benchmark's tracer names rainbowpath functions by string; a refactor
 that renames or stops importing one would break `perfbench/run.py --trace 1`
-without failing any library test, so those names are checked here. So are
+without failing any library test, so those names are checked here, and so
+is that each is still used where it is traced. So are
 the bytes of the benchmark's sweep and exact-solvers reports, and the pytest
 configuration's warning filter, which decides whether a failing test lets
 the rest of the session run."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -38,6 +40,22 @@ def test_traced_name_resolves(attr):
     module_name, name = attr.rsplit(".", 1)
     module = importlib.import_module(f"rainbowpath.{module_name}")
     assert callable(getattr(module, name, None)), f"rainbowpath.{attr} is gone"
+
+
+SRC = PERFBENCH.parent / "src" / "rainbowpath"
+
+
+@pytest.mark.parametrize("attr", TRACED)
+def test_traced_name_defined_or_called(attr):
+    """A traced name is defined in its module or called there. An import
+    kept alive only for the tracer still resolves, but its layer's counts
+    would silently read 0."""
+    module_name, name = attr.rsplit(".", 1)
+    tree = ast.parse((SRC / f"{module_name}.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert name in defined | called, f"rainbowpath.{attr} is imported but never called"
 
 
 def test_sweep_report_matches_reference(tmp_path):
