@@ -66,7 +66,6 @@ from .oracle import (
     longest_induced_path,
     longest_induced_rainbow_path,
     max_colorful_induced_path_from,
-    orient_by_color,
 )
 
 __version__ = "0.1.0"

@@ -250,10 +250,13 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
     recursion: color c is free for v when lower[v] & members[c] is empty,
     where lower[v] masks v's smaller neighbors and members[c] the vertices
     colored c, and used[v] is the largest color among vertices before v.
+    No coloring of n vertices uses more than n colors, so max_colors is
+    capped at n: the tables stay O(n), whatever the cap asked for.
     """
     if max_colors < 1:
         return
     n = g.n
+    max_colors = min(max_colors, n)
     lower = [g.masks[v] & ((1 << v) - 1) for v in range(n)]
     members = [0] * (max_colors + 1)
     colors = [0] * n

@@ -316,9 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("graph6")
         else:
             p.add_argument("path")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes, at most one per graph and per CPU")
         p.add_argument("--cap", type=int, default=1000, help="colorings per graph")
-        p.add_argument("--delta", type=int, default=0, help="extra colors beyond chi")
+        p.add_argument("--delta", type=int, default=0,
+                       help="extra colors beyond chi, up to n in all")
         p.add_argument("--samples", type=int, default=0,
                        help="random colorings beyond the cap")
         p.add_argument("--budget", type=int, default=10**8, help="search-node cap")

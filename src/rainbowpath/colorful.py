@@ -13,9 +13,10 @@ The recursion trusts the caller's chromatic lower bound and passes it down
 decremented by two, exactly like the induction it implements; strict mode
 additionally recomputes the exact chromatic number of every recursed
 subgraph for trace auditing. It works on vertex bitmasks of the original
-graph, and what depends only on the graph (the entry checks, each vertex's
-component and the chromatic number of each vertex set it compares) is
-computed once per graph.
+graph, removing a color as one mask of the coloring's class table
+(ColoredGraph.classes); what depends only on the graph (the entry checks,
+each vertex's component and the chromatic number of each vertex set it
+compares) is computed once per graph.
 
 The graph need not be connected: the construction runs inside the start
 vertex's connected component, as the induction does inside a connected
@@ -123,27 +124,23 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
             f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound"
         )
 
-    steps: list[ColorfulStep] = []
-    path = _recurse(cg, chi, component[start], start, chi_lb, 0, steps, strict)
-    steps.sort(key=lambda st: st.level)
+    path, steps = _recurse(cg, chi, component[start], start, chi_lb, 0, strict)
     result = Path(path)
     report = classify_path(cg, result.vertices)
     if not report.is_induced or report.color_count < -(-chi_lb // 2):
         raise GraphError("construction produced an invalid path; is chi_lb too large?")
-    return ColorfulResult(path=result, steps=tuple(steps))
+    return ColorfulResult(path=result, steps=steps)
 
 
 def _recurse(cg: ColoredGraph, chi: Callable[[int], int], active: int, v: int, chi_lb: int,
-             level: int, steps: list[ColorfulStep], strict: bool) -> tuple[int, ...]:
+             level: int, strict: bool) -> tuple[tuple[int, ...], tuple[ColorfulStep, ...]]:
+    """The path from v inside active and the steps of this level and the
+    ones below it, in level order."""
     if chi_lb <= 2:
-        return (v,)
+        return (v,), ()
     masks = cg.graph.masks
-    colors = cg.coloring.colors
-    c = colors[v]
-    remaining = 0
-    for u in _bits(active):
-        if colors[u] != c:
-            remaining |= 1 << u
+    c = cg.color_of(v)
+    remaining = active & ~cg.classes[c]
     if not remaining:
         raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
 
@@ -161,28 +158,26 @@ def _recurse(cg: ColoredGraph, chi: Callable[[int], int], active: int, v: int, c
 
     # q lies inside c2 and the bridge, which avoid the removed color
     recursed = c2 | 1 << bridge
-    q = _recurse(cg, chi, recursed, bridge, chi_lb - 2, level + 1, steps, strict)
+    q, deeper = _recurse(cg, chi, recursed, bridge, chi_lb - 2, level + 1, strict)
 
     assembled = p[:-1] + q
-    steps.append(
-        ColorfulStep(
-            level=level,
-            chi_lb=chi_lb,
-            start=v,
-            removed_color=c,
-            active_vertices=tuple(_bits(active)),
-            after_removal=tuple(_bits(remaining)),
-            chosen_component=tuple(_bits(c1)),
-            approach_path=p,
-            pivot=w,
-            pivot_fan=tuple(_bits(fan)),
-            pruned_vertices=tuple(_bits(pruned)),
-            second_component=tuple(_bits(c2)),
-            bridge=bridge,
-            recursed_vertices=tuple(_bits(recursed)),
-            sub_path=q,
-            assembled=assembled,
-            recomputed_chi=chi(recursed) if strict else None,
-        ),
+    step = ColorfulStep(
+        level=level,
+        chi_lb=chi_lb,
+        start=v,
+        removed_color=c,
+        active_vertices=tuple(_bits(active)),
+        after_removal=tuple(_bits(remaining)),
+        chosen_component=tuple(_bits(c1)),
+        approach_path=p,
+        pivot=w,
+        pivot_fan=tuple(_bits(fan)),
+        pruned_vertices=tuple(_bits(pruned)),
+        second_component=tuple(_bits(c2)),
+        bridge=bridge,
+        recursed_vertices=tuple(_bits(recursed)),
+        sub_path=q,
+        assembled=assembled,
+        recomputed_chi=chi(recursed) if strict else None,
     )
-    return assembled
+    return assembled, (step,) + deeper

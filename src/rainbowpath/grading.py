@@ -270,8 +270,7 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace)
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
     class_vertices = classes[j]
-    orientation = _color_orientation(g.masks, cg.coloring.colors,
-                                     sum(1 << v for v in class_vertices))
+    orientation = _color_orientation(g.masks, cg.classes, sum(1 << v for v in class_vertices))
     arcs = sorted((u, w) for w, ins in orientation for u in _bits(ins))
 
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))

@@ -117,27 +117,35 @@ def _color_classes(colors: Iterable[int]) -> dict[int, int]:
     return classes
 
 
-def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """True iff no edge of g is monochromatic. The coloring must be total.
-
-    O(n): each vertex's neighbor mask is tested against its color class mask.
-    """
+def _proper_classes(g: Graph, coloring: Coloring) -> dict[int, int] | None:
+    """The _color_classes table of a total coloring of g, or None if some
+    edge is monochromatic. O(n): each vertex's neighbor mask is tested
+    against its color class mask."""
     if coloring.n != g.n:
         raise GraphError(f"coloring covers {coloring.n} vertices, graph has {g.n}")
     classes = _color_classes(coloring.colors)
-    return not any(m & classes[c] for m, c in zip(g.masks, coloring.colors))
+    return None if any(m & classes[c] for m, c in zip(g.masks, coloring.colors)) else classes
+
+
+def is_proper(g: Graph, coloring: Coloring) -> bool:
+    """True iff no edge of g is monochromatic. The coloring must be total. O(n)."""
+    return _proper_classes(g, coloring) is not None
 
 
 @dataclass(frozen=True)
 class ColoredGraph:
-    """A graph together with a verified proper coloring."""
+    """A graph together with a verified proper coloring, and the coloring's
+    class table, built once by the properness check for every probe to read."""
 
     graph: Graph
     coloring: Coloring
+    classes: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_proper(self.graph, self.coloring):
+        classes = _proper_classes(self.graph, self.coloring)
+        if classes is None:
             raise GraphError("coloring is not proper on this graph")
+        object.__setattr__(self, "classes", classes)
 
     def color_of(self, v: int) -> int:
         return self.coloring.colors[v]

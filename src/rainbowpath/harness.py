@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -149,10 +150,10 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     if not is_triangle_free(g):
         raise GraphError(f"{graph_id}: graph contains a triangle")
     chi = chromatic_number(g).chi
-    max_colors = chi + cfg.max_colors_delta
-
-    # the empty coloring leaves the probes nothing to search
-    enumerated = iter_colorings(g, max_colors if g.n else 0)
+    # no coloring of n vertices uses more than n colors, so the empty graph
+    # gets no coloring, which would leave the probes nothing to search
+    max_colors = min(chi + cfg.max_colors_delta, g.n)
+    enumerated = iter_colorings(g, max_colors)
     colorings = list(islice(enumerated, cfg.coloring_cap))
     truncated = next(enumerated, None) is not None
     if truncated and cfg.extra_samples:
@@ -249,9 +250,11 @@ def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
 
 
 def _results(jobs: list[tuple[str, str, HarnessConfig]], parallelism: int) -> Iterator[_Result]:
-    """Worker results in job order, each yielded as soon as it is ready."""
-    if parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    """Worker results in job order, each yielded as soon as it is ready. A
+    pool may fork all its workers at once: no more than jobs or CPUs."""
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_check_line, jobs)
     else:
         yield from map(_check_line, jobs)

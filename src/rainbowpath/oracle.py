@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _color_classes, _lowest
+from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _lowest
 
 
 class BudgetExceededError(GraphError):
@@ -135,7 +135,8 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
 
 
 def _search_most_colorful(
-    masks: tuple[int, ...], colors: tuple[int, ...], start: int, max_nodes: int
+    masks: tuple[int, ...], colors: tuple[int, ...], by_color: dict[int, int], start: int,
+    max_nodes: int,
 ) -> tuple[list[int], int, bool]:
     """Induced path from a fixed start maximizing distinct colors.
 
@@ -147,8 +148,8 @@ def _search_most_colorful(
     never have replaced it. The bound tests one color-class mask per unused
     color, O(palette) work, stops once enough colors are found, and is
     skipped when the extension already sees at least the best count.
+    by_color is the coloring's class table (ColoredGraph.classes).
     """
-    by_color = _color_classes(colors)
     dense = {c: i for i, c in enumerate(by_color)}
     color_bit = [1 << dense[c] for c in colors]
     classes = list(by_color.values())
@@ -213,10 +214,9 @@ def longest_induced_rainbow_path(cg: ColoredGraph, budget: SearchBudget = Search
     """A maximum-order induced path whose vertices have pairwise distinct colors."""
     g = cg.graph
     _check_budget(g, budget)
-    colors = cg.coloring.colors
-    classes = _color_classes(colors)
+    classes = cg.classes
     raw, nodes, exceeded = _search_path(
-        g.masks, g.n, [classes[c] for c in colors], len(classes), budget.max_nodes
+        g.masks, g.n, [classes[c] for c in cg.coloring.colors], len(classes), budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget)
 
@@ -231,21 +231,20 @@ def max_colorful_induced_path_from(
         raise GraphError(f"start vertex {start} not in graph")
     _check_budget(g, budget)
     raw, nodes, exceeded = _search_most_colorful(
-        g.masks, cg.coloring.colors, start, budget.max_nodes
+        g.masks, cg.coloring.colors, cg.classes, start, budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget, normalize=False)
 
 
-def _color_orientation(masks: tuple[int, ...], colors: tuple[int, ...],
+def _color_orientation(masks: tuple[int, ...], classes: dict[int, int],
                        subset: int) -> list[tuple[int, int]]:
     """The color orientation of the subgraph induced by the vertex bitmask
     subset: each edge points at its larger color.
 
-    Returns each vertex with the mask of its in-neighbors, in (color, id)
-    order. colors must be proper on the subgraph, so every edge gets a strict
-    direction and the order is topological.
+    classes is a proper coloring's class table (ColoredGraph.classes), so
+    every edge gets a strict direction. Returns each vertex with the mask of
+    its in-neighbors, in (color, id) order, which is topological.
     """
-    classes = _color_classes(colors)
     below = 0
     out = []
     for c in sorted(classes):
@@ -279,18 +278,6 @@ def _longest_directed_path(orientation: list[tuple[int, int]]) -> tuple[int, ...
     return tuple(reversed(rev))
 
 
-def orient_by_color(cg: ColoredGraph) -> list[tuple[int, int]]:
-    """Arcs of the color orientation, each edge pointing at its larger color,
-    in ascending order.
-
-    The coloring is proper, so every edge gets a strict direction and the
-    resulting digraph is acyclic (colors strictly increase along arcs).
-    """
-    g = cg.graph
-    orientation = _color_orientation(g.masks, cg.coloring.colors, (1 << g.n) - 1)
-    return sorted((u, v) for v, ins in orientation for u in _bits(ins))
-
-
 def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
     """Longest directed path of the color orientation.
 
@@ -300,5 +287,5 @@ def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
     g = cg.graph
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
-    orientation = _color_orientation(g.masks, cg.coloring.colors, (1 << g.n) - 1)
+    orientation = _color_orientation(g.masks, cg.classes, (1 << g.n) - 1)
     return Path(_longest_directed_path(orientation))

@@ -1,6 +1,7 @@
 import inspect
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,18 @@ class TestEnumerateColorings:
 
     def test_deep_odd_cycle(self):
         assert list(iter_colorings(cycle_graph(3001), 2)) == []
+
+    def test_palette_beyond_n_allocates_nothing_for_it(self):
+        # no coloring of 5 vertices uses more than 5 colors, so a cap of a
+        # million colors emits what a cap of 5 does, in O(n) memory
+        tracemalloc.start()
+        try:
+            emitted = list(iter_colorings(cycle_graph(5), 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert emitted == list(iter_colorings(cycle_graph(5), 5))
 
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)

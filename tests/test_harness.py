@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
+import rainbowpath
 from rainbowpath import (
     HarnessConfig,
     build_graph,
@@ -92,6 +95,39 @@ class TestCheckGraph:
         digests = [r.coloring_digest for r in report.checks]
         assert len(set(digests)) == len(digests)
 
+    def test_delta_beyond_n_changes_nothing(self, c5):
+        # chi(C5) = 3, so delta 2 already allows the 5 colors that a coloring
+        # of 5 vertices can use at most; enumeration and samples stay the same
+        reports = [
+            report_to_json(check_graph(c5, HarnessConfig(
+                coloring_cap=2, extra_samples=3, max_colors_delta=delta)))
+            for delta in (2, 10**5)
+        ]
+        assert json.loads(reports[0])["colorings_checked"] == 5
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("name, cap, colorings", [("c5", 1000, 5), ("grotzsch", 20, 20)])
+    def test_one_class_table_per_coloring(self, request, monkeypatch, name, cap, colorings):
+        # the properness check builds each coloring's class table, and the
+        # rainbow search, Gallai-Roy and the colorful construction read it
+        built = []
+
+        def counted(original):
+            def build(colors):
+                built.append(colors)
+                return original(colors)
+            return build
+
+        modules = [importlib.import_module(f"rainbowpath.{m.name}")
+                   for m in pkgutil.iter_modules(rainbowpath.__path__) if m.name != "__main__"]
+        binding = [m for m in modules if "_color_classes" in vars(m)]
+        assert binding
+        for module in binding:
+            monkeypatch.setattr(module, "_color_classes", counted(module._color_classes))
+        report = check_graph(request.getfixturevalue(name), HarnessConfig(coloring_cap=cap))
+        assert report.colorings_checked == colorings
+        assert len(built) == colorings
+
     def test_report_json_is_stable(self, c5):
         report = check_graph(c5, HarnessConfig())
         line = report_to_json(report)
@@ -173,3 +209,37 @@ class TestRunCorpus:
         run_corpus(path, HarnessConfig(coloring_cap=30, output_path=str(serial)))
         run_corpus(path, HarnessConfig(coloring_cap=30, output_path=str(parallel), parallelism=2))
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 8, 3),  # no more workers than graphs
+        (2, 8, 2),
+        (64, 2, 2),  # no more workers than CPUs
+        (64, 1, None),  # one worker: no pool
+        (64, None, None),  # CPU count unknown: one worker
+    ])
+    def test_pool_sized_to_graphs_and_cpus(self, tmp_path, monkeypatch, c5, jobs, cpus, workers):
+        # a fake pool records its size and runs in this process: a real one
+        # may fork all of its workers at the first submit
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rainbowpath.harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(rainbowpath.harness.os, "cpu_count", lambda: cpus)
+        path = self.write(tmp_path, [encode_graph6(g) for g in mycielski_iterates(1)]
+                          + [encode_graph6(c5)])
+        out = tmp_path / "out.jsonl"
+        summary = run_corpus(path, HarnessConfig(output_path=str(out), parallelism=jobs))
+        assert pools == ([workers] if workers else [])
+        assert summary.graphs_processed == 3

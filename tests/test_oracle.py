@@ -28,9 +28,10 @@ from rainbowpath import (
     longest_induced_rainbow_path,
     max_colorful_induced_path_from,
     mycielski_iterates,
-    orient_by_color,
     random_triangle_free,
 )
+from rainbowpath.graphs import _bits
+from rainbowpath.oracle import _color_orientation
 from helpers import (
     every_graph,
     naive_longest_induced_path_order,
@@ -264,9 +265,11 @@ class TestGallaiRoy:
             gallai_roy_rainbow_path(ColoredGraph(build_graph(0, []), Coloring(())))
 
     def test_orientation_points_at_larger_color(self, c5_colored):
-        arcs = orient_by_color(c5_colored)
+        g = c5_colored.graph
+        orientation = _color_orientation(g.masks, c5_colored.classes, (1 << g.n) - 1)
+        arcs = [(u, v) for v, ins in orientation for u in _bits(ins)]
         assert all(c5_colored.color_of(u) < c5_colored.color_of(v) for u, v in arcs)
-        assert len(arcs) == c5_colored.graph.edge_count
+        assert len(arcs) == g.edge_count
 
     @given(colored_graphs())
     @settings(max_examples=80, deadline=None)
