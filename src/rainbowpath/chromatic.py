@@ -250,10 +250,10 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
     recursion: color c is free for v when lower[v] & members[c] is empty,
     where lower[v] masks v's smaller neighbors and members[c] the vertices
     colored c, and used[v] is the largest color among vertices before v.
-    No coloring of n vertices uses more than n colors, so max_colors is
-    capped at n: the tables stay O(n), whatever the cap asked for.
+    max_colors is capped at n, which no coloring of n vertices exceeds, so
+    the tables stay O(n); the empty graph's one coloring uses 0 colors.
     """
-    if max_colors < 1:
+    if max_colors < 0:
         return
     n = g.n
     max_colors = min(max_colors, n)

@@ -1,22 +1,23 @@
-"""Recursive construction of an induced path seeing many distinct colors.
+"""Construction of an induced path seeing many distinct colors.
 
 From a start vertex v with color c, remove the whole color class of c; some
 component of the remainder keeps a high chromatic number. Walk a shortest
 path P from v to that component, let w be its penultimate vertex, delete
 w's fan inside the component (an independent set, by triangle-freeness),
-recurse from a fan vertex bridging into the strongest remaining component,
-and splice: R = P_w followed by the recursive path. Each level contributes
-the removed color, which the recursive path cannot contain, so R sees at
-least ceil(chi_lb / 2) distinct colors while staying induced.
+go on from a fan vertex bridging into the strongest remaining component,
+and splice: R = P_w followed by the path built from there. Each level
+contributes the removed color, which the rest of the path cannot contain,
+so R sees at least ceil(chi_lb / 2) distinct colors while staying induced.
 
-The recursion trusts the caller's chromatic lower bound and passes it down
-decremented by two, exactly like the induction it implements; strict mode
-additionally recomputes the exact chromatic number of every recursed
-subgraph for trace auditing. It works on vertex bitmasks of the original
-graph, removing a color as one mask of the coloring's class table
-(ColoredGraph.classes); what depends only on the graph (the entry checks,
-each vertex's component and the chromatic number of each vertex set it
-compares) is computed once per graph.
+The induction runs as one loop, a level per pass. It trusts the caller's
+chromatic lower bound and lowers it by two per level, exactly like the
+induction it implements; strict mode additionally recomputes the exact
+chromatic number of every recursed subgraph for trace auditing. It works on
+vertex bitmasks of the original graph, removing a color as one mask of the
+coloring's class table (ColoredGraph.classes); what depends only on the
+graph (the entry checks, each vertex's component and the chromatic number
+of each vertex set it compares) is computed once per graph. A level keeps
+only the ints it computed; its ColorfulStep is built on first read.
 
 The graph need not be connected: the construction runs inside the start
 vertex's connected component, as the induction does inside a connected
@@ -48,7 +49,7 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class ColorfulStep:
-    """One recursion level of the construction (vertex ids are original)."""
+    """One level of the construction (vertex ids are original)."""
 
     level: int
     chi_lb: int
@@ -71,8 +72,33 @@ class ColorfulStep:
 
 @dataclass(frozen=True)
 class ColorfulResult:
+    """The constructed path and, per level, the ints computed for it: chi_lb,
+    start, removed color, the active, after-removal and chosen-component
+    masks, the approach path, the fan and second-component masks, the
+    bridge, the strict-mode chi of the recursed set (else None) and the
+    offset in the path where the level's part starts. `steps`, the
+    ColorfulStep trace in level order, is built from them on first read."""
+
     path: Path
-    steps: tuple[ColorfulStep, ...]
+    levels: tuple[tuple, ...]
+
+    @functools.cached_property
+    def steps(self) -> tuple[ColorfulStep, ...]:
+        path = self.path.vertices
+        return tuple(
+            ColorfulStep(
+                level=level, chi_lb=chi_lb, start=v, removed_color=c,
+                active_vertices=tuple(_bits(active)), after_removal=tuple(_bits(remaining)),
+                chosen_component=tuple(_bits(c1)), approach_path=p, pivot=p[-2],
+                pivot_fan=tuple(_bits(fan)), pruned_vertices=tuple(_bits(c1 & ~fan)),
+                second_component=tuple(_bits(c2)), bridge=bridge,
+                recursed_vertices=tuple(_bits(c2 | 1 << bridge)),
+                sub_path=path[offset + len(p) - 1:], assembled=path[offset:],
+                recomputed_chi=recomputed_chi,
+            )
+            for level, (chi_lb, v, c, active, remaining, c1, p, fan, c2, bridge,
+                        recomputed_chi, offset) in enumerate(self.levels)
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -108,8 +134,9 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
     connected. Requires a triangle-free graph and chi_lb no larger than the
     chromatic number of that component, checked against a cheap upper bound:
     the colors a DSATUR coloring uses on it. A bound overstated past that
-    check surfaces as a structural error during recursion, or not at all
-    when the path still sees ceil(chi_lb/2) colors.
+    check surfaces as a structural error at some level, or not at all when
+    the path still sees ceil(chi_lb/2) colors. The result's `steps` are
+    built on first read.
     """
     g = cg.graph
     if not 0 <= start < g.n:
@@ -120,64 +147,36 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
     if chi_lb > upper_bound[start]:
-        raise GraphError(
-            f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound"
-        )
+        raise GraphError(f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound")
 
-    path, steps = _recurse(cg, chi, component[start], start, chi_lb, 0, strict)
-    result = Path(path)
+    masks = g.masks
+    active, v, lb = component[start], start, chi_lb
+    path: list[int] = []
+    levels: list[tuple] = []
+    while lb > 2:
+        c = cg.color_of(v)
+        remaining = active & ~cg.classes[c]
+        if not remaining:
+            raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
+        c1 = max(_mask_components(masks, remaining), key=chi)
+        p = _mask_shortest_path(masks, active, v, c1)
+        fan = masks[p[-2]] & c1  # independent: the graph is triangle-free
+        pruned = c1 & ~fan
+        if not pruned:
+            raise GraphError("component vanished after fan removal; chi_lb overstated")
+        c2 = max(_mask_components(masks, pruned), key=chi)
+        # c1 is connected and the fan is not empty, so some fan vertex meets c2
+        bridge = next(u for u in _bits(fan) if masks[u] & c2)
+        # the rest of the path lies inside c2 and the bridge, which avoid color c
+        recursed = c2 | 1 << bridge
+        levels.append((lb, v, c, active, remaining, c1, p, fan, c2, bridge,
+                       chi(recursed) if strict else None, len(path)))
+        path += p[:-1]
+        active, v, lb = recursed, bridge, lb - 2
+    path.append(v)
+
+    result = Path(tuple(path))
     report = classify_path(cg, result.vertices)
     if not report.is_induced or report.color_count < -(-chi_lb // 2):
         raise GraphError("construction produced an invalid path; is chi_lb too large?")
-    return ColorfulResult(path=result, steps=steps)
-
-
-def _recurse(cg: ColoredGraph, chi: Callable[[int], int], active: int, v: int, chi_lb: int,
-             level: int, strict: bool) -> tuple[tuple[int, ...], tuple[ColorfulStep, ...]]:
-    """The path from v inside active and the steps of this level and the
-    ones below it, in level order."""
-    if chi_lb <= 2:
-        return (v,), ()
-    masks = cg.graph.masks
-    c = cg.color_of(v)
-    remaining = active & ~cg.classes[c]
-    if not remaining:
-        raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
-
-    c1 = max(_mask_components(masks, remaining), key=chi)
-    p = _mask_shortest_path(masks, active, v, c1)
-    w = p[-2]
-    fan = masks[w] & c1  # independent: the graph is triangle-free
-    pruned = c1 & ~fan
-    if not pruned:
-        raise GraphError("component vanished after fan removal; chi_lb overstated")
-    c2 = max(_mask_components(masks, pruned), key=chi)
-
-    # c1 is connected and the fan is not empty, so some fan vertex meets c2
-    bridge = next(u for u in _bits(fan) if masks[u] & c2)
-
-    # q lies inside c2 and the bridge, which avoid the removed color
-    recursed = c2 | 1 << bridge
-    q, deeper = _recurse(cg, chi, recursed, bridge, chi_lb - 2, level + 1, strict)
-
-    assembled = p[:-1] + q
-    step = ColorfulStep(
-        level=level,
-        chi_lb=chi_lb,
-        start=v,
-        removed_color=c,
-        active_vertices=tuple(_bits(active)),
-        after_removal=tuple(_bits(remaining)),
-        chosen_component=tuple(_bits(c1)),
-        approach_path=p,
-        pivot=w,
-        pivot_fan=tuple(_bits(fan)),
-        pruned_vertices=tuple(_bits(pruned)),
-        second_component=tuple(_bits(c2)),
-        bridge=bridge,
-        recursed_vertices=tuple(_bits(recursed)),
-        sub_path=q,
-        assembled=assembled,
-        recomputed_chi=chi(recursed) if strict else None,
-    )
-    return assembled, (step,) + deeper
+    return ColorfulResult(path=result, levels=tuple(levels))

@@ -150,10 +150,10 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     if not is_triangle_free(g):
         raise GraphError(f"{graph_id}: graph contains a triangle")
     chi = chromatic_number(g).chi
-    # no coloring of n vertices uses more than n colors, so the empty graph
-    # gets no coloring, which would leave the probes nothing to search
+    # no coloring of n vertices uses more than n colors; the empty graph's one
+    # coloring would leave the probes nothing to search, so it is not swept
     max_colors = min(chi + cfg.max_colors_delta, g.n)
-    enumerated = iter_colorings(g, max_colors)
+    enumerated = iter_colorings(g, max_colors) if g.n else iter(())
     colorings = list(islice(enumerated, cfg.coloring_cap))
     truncated = next(enumerated, None) is not None
     if truncated and cfg.extra_samples:

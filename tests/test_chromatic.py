@@ -296,6 +296,12 @@ class TestEnumerateColorings:
     def test_infeasible_palette_is_empty(self, c5):
         assert list(iter_colorings(c5, 2)) == []
 
+    def test_empty_graph_has_one_coloring_on_zero_colors(self, c5):
+        empty = build_graph(0, [])
+        assert [[c.colors for c in iter_colorings(empty, k)] for k in (-1, 0, 1, 2)] == [
+            [], [()], [()], [()]]
+        assert [list(iter_colorings(c5, k)) for k in (-1, 0)] == [[], []]
+
     def test_deep_even_cycle(self):
         # 3,000 vertices, deeper than a recursive enumeration can go; the
         # one canonical 2-coloring alternates

@@ -213,6 +213,29 @@ class TestStrictMode:
             assert st.recomputed_chi >= st.chi_lb - 2
 
 
+class TestLazyTrace:
+    """The trace is built from the levels on first read: without strict mode
+    it is the strict trace less the recomputed chromatic numbers, it is
+    built once, and it takes no part in equality or hashing."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_matches_strict_trace(self, depth):
+        g = mycielski_iterates(depth)[-1]
+        chi = chromatic_number(g).chi
+        colorings = [dsatur_coloring(g), *itertools.islice(iter_colorings(g, chi), 20)]
+        for coloring in colorings:
+            cg = ColoredGraph(g, coloring)
+            for start in range(g.n):
+                result = colorful_path_from(cg, start, chi)
+                strict = colorful_path_from(cg, start, chi, strict=True)
+                assert result.path == strict.path
+                assert result.steps == tuple(
+                    dataclasses.replace(st, recomputed_chi=None) for st in strict.steps)
+                assert result.steps is result.steps
+                again = colorful_path_from(cg, start, chi)
+                assert again == result and hash(again) == hash(result)
+
+
 class TestTraceIdentity:
     """Full strict-mode traces, every ColorfulStep field, frozen from the
     construction as it stood before its recursion moved to vertex bitmasks:

@@ -128,6 +128,19 @@ class TestCheckGraph:
         assert report.colorings_checked == colorings
         assert len(built) == colorings
 
+    @pytest.mark.parametrize("thorough", [False, True])
+    def test_sweep_builds_no_trace(self, monkeypatch, c5, grotzsch, thorough):
+        # check_graph reads only the colorful path, so the sweep never
+        # builds a ColorfulStep and its reports do not depend on them
+        cfg = HarnessConfig(coloring_cap=50, thorough=thorough)
+        expected = [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a ColorfulStep")
+
+        monkeypatch.setattr(rainbowpath.colorful, "ColorfulStep", refuse)
+        assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
+
     def test_report_json_is_stable(self, c5):
         report = check_graph(c5, HarnessConfig())
         line = report_to_json(report)
