@@ -172,9 +172,10 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         gallai = gallai_roy_rainbow_path(cg)
         # the first pivot among those that see the fewest colors
         colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
+        digest = coloring_digest(coloring)
         checks.append(
             CheckRecord(
-                coloring_digest=coloring_digest(coloring),
+                coloring_digest=digest,
                 rainbow_order=rainbow,
                 colorful_colors=colorful_colors,
                 colorful_pivot=colorful_pivot,
@@ -186,12 +187,12 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
             log.warning(
                 "%s: coloring %s has no induced rainbow path of order chi=%d "
                 "(best %d) -- conjecture violation candidate",
-                graph_id, coloring.colors, chi, rainbow,
+                graph_id, digest, chi, rainbow,
             )
         if colorful_colors < needed:
             log.warning(
-                "%s: colorful construction saw %d colors, expected >= %d",
-                graph_id, colorful_colors, needed,
+                "%s: coloring %s: colorful construction saw %d colors, expected >= %d",
+                graph_id, digest, colorful_colors, needed,
             )
 
     return ConjectureReport(

@@ -15,7 +15,11 @@ silently returned. Their results, node counts included, follow one contract:
   counted before the bound is tested;
 - one loop serves the induced and the rainbow search: a vertex on the path
   blocks itself, or its whole color class, from joining it, and the loop
-  stops at the first path of `limit` vertices (n, or the palette size).
+  stops at the first path of `limit` vertices (n, or the palette size);
+- the most-colorful search stops at the first best path that sees every
+  color in that many vertices, and an extension with at least as many
+  vertices as the best must reach one color more than the best to pass its
+  color bound.
 """
 
 from __future__ import annotations
@@ -145,10 +149,19 @@ def _search_most_colorful(
     rejected when its optimistic color bound, the colors it uses plus the
     unused colors of vertices outside its closed set, cannot reach the best
     count; such an extension sees fewer colors than the best, so it could
-    never have replaced it. The bound tests one color-class mask per unused
-    color, O(palette) work, stops once enough colors are found, and is
-    skipped when the extension already sees at least the best count.
-    by_color is the coloring's class table (ColoredGraph.classes).
+    never have replaced it. An extension with at least as many vertices as
+    the best must reach one color more: it and every path grown from it
+    can replace the best only by seeing strictly more colors. The bound
+    tests one color-class mask per unused color, O(palette) work, stops
+    once enough colors are found, and is skipped when the extension already
+    sees enough colors.
+
+    The search stops, exact, once the best path sees every color in that
+    many vertices: no path sees more colors, and seeing as many takes at
+    least as many vertices, so later paths can only tie it. Ties never
+    replace the best, so the result is that of the full search; only node
+    counts drop. by_color is the coloring's class table
+    (ColoredGraph.classes).
     """
     dense = {c: i for i, c in enumerate(by_color)}
     color_bit = [1 << dense[c] for c in colors]
@@ -177,6 +190,8 @@ def _search_most_colorful(
         new_used = used[-1] | color_bit[x]
         count = new_used.bit_count()
         short = best_count - count
+        if len(path) + 1 >= len(best):
+            short += 1
         if short > 0:
             # reject unless `short` unused colors remain outside new_closed
             for c, members in enumerate(classes):
@@ -193,6 +208,8 @@ def _search_most_colorful(
         if count > best_count or (count == best_count and len(path) < len(best)):
             best = path.copy()
             best_count = count
+            if best_count == len(best) == len(classes):
+                return best, nodes, False
     return best, nodes, False
 
 

@@ -203,6 +203,22 @@ class TestGuaranteeSweep:
             oracle = max_colorful_induced_path_from(cg, v, SearchBudget(on_exceed="flag"))
             assert colors_seen(cg, constructed.path) <= colors_seen(cg, oracle.path)
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_oracle_dominates_construction_on_benchmark_graphs(self, depth):
+        # Grotzsch and Mycielski-3 under the chromatic_number witness: the
+        # exact search sees at least the construction's colors, and at least
+        # the ceil(chi/2) that the paper's theorem promises
+        g = mycielski_iterates(depth)[-1]
+        result = chromatic_number(g)
+        cg = ColoredGraph(g, result.witness)
+        needed = -(-result.chi // 2)
+        for v in range(g.n):
+            constructed = colorful_path_from(cg, v, result.chi)
+            oracle = max_colorful_induced_path_from(cg, v)
+            assert oracle.exact and oracle.path.vertices[0] == v
+            assert colors_seen(cg, oracle.path) >= colors_seen(cg, constructed.path)
+            assert colors_seen(cg, oracle.path) >= needed
+
 
 class TestStrictMode:
     def test_audit_records_chi(self, grotzsch):

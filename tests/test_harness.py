@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import pkgutil
 from itertools import islice
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 
 import rainbowpath
 from rainbowpath import (
+    Coloring,
     HarnessConfig,
+    SearchBudget,
     build_graph,
     check_graph,
     cycle_graph,
@@ -147,6 +150,34 @@ class TestCheckGraph:
         payload = json.loads(line)
         assert list(payload)[:5] == ["graph_id", "graph6", "n", "m", "chi"]
         assert payload["graph6"] == encode_graph6(c5)
+
+
+class TestWarnings:
+    """Both check_graph warnings name the graph and the coloring's digest,
+    the key of its record in the report."""
+
+    def test_violation_candidate_names_coloring_digest(self, caplog):
+        # Mycielski-3 with 5-node searches: every rainbow search is cut
+        # short, so the first coloring is reported as a candidate
+        g = mycielski_iterates(3)[-1]
+        assert encode_graph6(g) == "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
+        cfg = HarnessConfig(coloring_cap=3, budget=SearchBudget(max_nodes=5, on_exceed="flag"))
+        with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
+            report = check_graph(g, cfg, graph_id="m3")
+        digest = coloring_digest(Coloring(report.witness_coloring))
+        assert digest == report.checks[0].coloring_digest
+        [message] = [m for m in (r.getMessage() for r in caplog.records) if "violation candidate" in m]
+        assert message.startswith(f"m3: coloring {digest} has no induced rainbow path")
+        assert str(report.witness_coloring) not in message
+
+    def test_colorful_shortfall_names_coloring_digest(self, caplog, monkeypatch, c5):
+        monkeypatch.setattr(rainbowpath.harness, "_colorful_count", lambda cg, start, chi: 1)
+        with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
+            report = check_graph(c5, HarnessConfig(coloring_cap=2), graph_id="c5")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"c5: coloring {r.coloring_digest}: colorful construction saw 1 colors, expected >= 2"
+            for r in report.checks
+        ]
 
 
 class TestRunCorpus:

@@ -58,29 +58,37 @@ def test_traced_name_defined_or_called(attr):
     assert name in defined | called, f"rainbowpath.{attr} is imported but never called"
 
 
-def test_sweep_report_matches_reference(tmp_path):
+def _reference_digest(name, seed, tmp_path):
+    """Run the workload at seed, check that its validation fails no
+    operation, and return its report digest with the one that
+    perfbench/reference.json pins for it."""
+    workload = _load("workloads").WORKLOADS[name]
+    state = workload.setup(seed, tmp_path)
+    validation, digest = workload.validate(state, workload.measure(state))
+    assert validation.failed == 0, validation.problems
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
+    return digest, reference["report_sha256"][name][str(seed)]
+
+
+# seed 97 is the benchmark's held-out seed, whose random inputs are disjoint
+# from those of seed 0
+@pytest.mark.parametrize("seed", [0, 97])
+def test_sweep_report_matches_reference(seed, tmp_path):
     """The mycielski-sweep workload's report, byte for byte, is the one
     pinned in perfbench/reference.json, and its validation fails no
     operation: a change to any verdict, count or digest in a sweep shows
     here, not only in a benchmark run."""
-    workload = _load("workloads").WORKLOADS["mycielski-sweep"]
-    state = workload.setup(0, tmp_path)
-    validation, digest = workload.validate(state, workload.measure(state))
-    assert validation.failed == 0, validation.problems
-    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
-    assert digest == reference["report_sha256"]["mycielski-sweep"]["0"]
+    digest, pinned = _reference_digest("mycielski-sweep", seed, tmp_path)
+    assert digest == pinned
 
 
-def test_exact_solvers_report_matches_reference(tmp_path):
+@pytest.mark.parametrize("seed", [0, 97])
+def test_exact_solvers_report_matches_reference(seed, tmp_path):
     """The exact-solvers workload, the only one that runs the graded
     procedure, the induced-path and the most-colorful searches, writes the
     report pinned in perfbench/reference.json and fails no operation."""
-    workload = _load("workloads").WORKLOADS["exact-solvers"]
-    state = workload.setup(0, tmp_path)
-    validation, digest = workload.validate(state, workload.measure(state))
-    assert validation.failed == 0, validation.problems
-    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
-    assert digest == reference["report_sha256"]["exact-solvers"]["0"]
+    digest, pinned = _reference_digest("exact-solvers", seed, tmp_path)
+    assert digest == pinned
 
 
 PYPROJECT = PERFBENCH.parent / "pyproject.toml"
