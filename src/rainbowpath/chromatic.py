@@ -7,8 +7,12 @@ chi is proved optimal. Each k-colorability search is a backtracking DSATUR
 search with a fixed contract: the uncolored vertex with the most forbidden
 colors goes first, then higher degree, then smaller id; colors are tried in
 ascending order, and a vertex may open at most one fresh color; a branch
-fails as soon as some uncolored neighbor has all k colors forbidden. The
-witness is the first coloring this search finds. Saturations are kept as
+fails as soon as some uncolored neighbor has all k colors forbidden. When
+a branch fails under a color that was free for its vertex (every uncolored
+neighbor already had it forbidden), the vertex's other colors are not
+tried: any coloring with another color there stays proper with the free
+one. The witness is the first coloring this search finds, and the cut
+gives up only branches that hold none. Saturations are kept as
 bit-sliced counters over vertex bitmasks, so each color tried costs
 O(log k) mask operations, whatever the degree. The search runs on an
 explicit stack, not by recursion; at k = n its first descent is the greedy
@@ -113,7 +117,13 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
       fresh color (one above the largest color used so far), so no two
       branches differ by a renaming of colors;
     - a branch fails as soon as some uncolored neighbor has all k colors
-      forbidden.
+      forbidden;
+    - when the branch under v = c fails and c was free for v (every
+      uncolored neighbor of v already had c forbidden), v's later colors
+      are not tried and the search backs up past v: a coloring with v = c'
+      stays proper with v recolored c, and the branch under c holds every
+      coloring with v = c up to a renaming of the colors not yet used, so
+      there is none. Only branches without a coloring are cut.
 
     The first coloring found is returned. Vertices are relabelled once by
     their static rank (-degree, id), and all state is rank bitmasks:
@@ -126,8 +136,9 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
 
     It all runs in one loop over an explicit stack of frames (v, used,
     uncolored, planes, c, new): v, chosen in state (used, uncolored, planes),
-    took color c and newly forbade it to new. Backtracking pops a frame,
-    undoes forbid[c] |= new and tries c + 1.
+    took color c and newly forbade it to new. Backtracking pops frames until
+    one has new != 0 (new == 0 is exactly a free color), undoes
+    forbid[c] |= new for it and tries c + 1.
     """
     n = g.n
     if n == 0:
@@ -179,9 +190,14 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
             v, uncolored, planes, c = top.bit_length() - 1, uncolored ^ top, sat, 0
             break
         else:
-            if not stack:
-                return None
-            v, used, uncolored, planes, c, new = stack.pop()
+            # a frame with new == 0 took a free color, and its branch failed:
+            # so do its vertex's other colors, and forbid needs no undo
+            while True:
+                if not stack:
+                    return None
+                v, used, uncolored, planes, c, new = stack.pop()
+                if new:
+                    break
             forbid[c] ^= new
 
 

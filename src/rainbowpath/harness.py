@@ -15,7 +15,6 @@ import logging
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path as FilePath
@@ -255,6 +254,10 @@ def _results(jobs: list[tuple[str, str, HarnessConfig]], parallelism: int) -> It
     pool may fork all its workers at once: no more than jobs or CPUs."""
     workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run and
+        # a plain `import rainbowpath` need not pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_check_line, jobs)
     else:

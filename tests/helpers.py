@@ -186,6 +186,39 @@ def naive_dsatur(g: Graph) -> Coloring:
     return Coloring(tuple(colors))
 
 
+def naive_k_colorable(g: Graph, k: int) -> Coloring | None:
+    """The first coloring of a plain recursive DSATUR backtracking search
+    with colors 1..k, or None: the uncolored vertex with the most distinct
+    colors on its neighbors goes first, ties by higher degree, then smaller
+    id; its colors are tried in ascending order, at most one above the
+    largest color used so far; a color fails as soon as some uncolored
+    neighbor has all k colors on its neighbors. Every color of every chosen
+    vertex is tried: no branch is cut."""
+    colors = [0] * g.n
+    forbidden: list[set[int]] = [set() for _ in range(g.n)]
+
+    def extend(used: int) -> bool:
+        uncolored = [u for u in range(g.n) if not colors[u]]
+        if not uncolored:
+            return True
+        v = min(uncolored, key=lambda u: (-len(forbidden[u]), -g.degree(u), u))
+        for c in range(1, min(used + 1, k) + 1):
+            if c in forbidden[v]:
+                continue
+            colors[v] = c
+            added = [u for u in g.neighbors(v) if not colors[u] and c not in forbidden[u]]
+            for u in added:
+                forbidden[u].add(c)
+            if all(len(forbidden[u]) < k for u in g.neighbors(v) if not colors[u]) and extend(max(used, c)):
+                return True
+            for u in added:
+                forbidden[u].remove(c)
+            colors[v] = 0
+        return False
+
+    return Coloring(tuple(colors)) if extend(0) else None
+
+
 def naive_canonical_colorings(g: Graph, max_colors: int) -> set[tuple[int, ...]]:
     """Brute force all assignments, keep proper ones, canonicalize, dedupe."""
     edges = list(g.edges())

@@ -29,6 +29,7 @@ from helpers import (
     naive_chromatic_number,
     naive_dsatur,
     naive_is_proper,
+    naive_k_colorable,
 )
 from test_graphs import graphs
 
@@ -111,7 +112,7 @@ class TestChromaticNumber:
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == 2
 
-    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("depth", range(5))
     def test_mycielski_iterates(self, depth):
         g = mycielski_iterates(depth)[-1]
         result = chromatic_number(g)
@@ -210,7 +211,9 @@ class TestFrozenColorability:
     """_k_colorable(g, k), the witness colors or None, frozen before the
     search moved to saturation-level bitmasks (k = 2..5) and before it moved
     to bit-sliced saturation counters (k = 1, 7, 8, 9); and the number of
-    vertex choices it makes, frozen with the bit-sliced search.
+    vertex choices it makes, frozen with the bit-sliced search and
+    re-recorded when it gained its free-color cut, which moved only
+    Mycielski-3 at k = 4 and none of the witnesses.
 
     Inputs: random_triangle_free(n, 0.35, seed) for n = 14..28 even and
     seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 1..5 and 7..9;
@@ -253,6 +256,22 @@ class TestFrozenColorability:
 
 
 class TestKColorable:
+    @given(graphs())
+    @settings(deadline=None)
+    def test_first_coloring_matches_naive_search(self, g):
+        # the search's cuts give up only branches that hold no coloring, so
+        # its first coloring, or None, is that of the search without them
+        for k in range(1, 7):
+            assert _k_colorable(g, k) == naive_k_colorable(g, k)
+
+    def test_first_coloring_matches_naive_search_on_frozen_cases(self):
+        # Groetzsch and Mycielski-3 among them; small hypothesis graphs
+        # seldom back up before their first coloring, but some of the
+        # random ones at k = 3 do, so a cut that gives up a coloring shows
+        for case in TestFrozenColorability.CASES:
+            g = TestFrozenColorability._graph(case)
+            assert _k_colorable(g, case["k"]) == naive_k_colorable(g, case["k"]), case
+
     def test_deep_even_cycle(self):
         # a descent of 3,000 vertices, deeper than a recursive search can go
         g = cycle_graph(3000)

@@ -1,7 +1,11 @@
+import concurrent.futures
 import importlib
 import json
 import logging
+import os
 import pkgutil
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -279,7 +283,7 @@ class TestRunCorpus:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(rainbowpath.harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(rainbowpath.harness.os, "cpu_count", lambda: cpus)
         path = self.write(tmp_path, [encode_graph6(g) for g in mycielski_iterates(1)]
                           + [encode_graph6(c5)])
@@ -287,3 +291,12 @@ class TestRunCorpus:
         summary = run_corpus(path, HarnessConfig(output_path=str(out), parallelism=jobs))
         assert pools == ([workers] if workers else [])
         assert summary.graphs_processed == 3
+
+    def test_import_leaves_out_the_process_pool(self):
+        # multiprocessing is imported only by a run with more than one
+        # worker, so a fresh `import rainbowpath` does not pay for it
+        code = "import sys, rainbowpath; print('multiprocessing' in sys.modules)"
+        src = str(Path(rainbowpath.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"

@@ -2,7 +2,7 @@
 that renames or stops importing one would break `perfbench/run.py --trace 1`
 without failing any library test, so those names are checked here, and so
 is that each is still used where it is traced. So are
-the bytes of the benchmark's sweep and exact-solvers reports, and the pytest
+the bytes of the reports of the benchmark's three workloads, and the pytest
 configuration's warning filter, which decides whether a failing test lets
 the rest of the session run."""
 
@@ -88,6 +88,15 @@ def test_exact_solvers_report_matches_reference(seed, tmp_path):
     procedure, the induced-path and the most-colorful searches, writes the
     report pinned in perfbench/reference.json and fails no operation."""
     digest, pinned = _reference_digest("exact-solvers", seed, tmp_path)
+    assert digest == pinned
+
+
+@pytest.mark.parametrize("seed", [0, 97])
+def test_random_thorough_report_matches_reference(seed, tmp_path):
+    """The random-thorough workload, the thorough sweep that takes chi of
+    many induced subgraphs through the chi cache, writes the report pinned
+    in perfbench/reference.json and fails no operation."""
+    digest, pinned = _reference_digest("random-thorough", seed, tmp_path)
     assert digest == pinned
 
 
