@@ -48,7 +48,6 @@ from .graphs import (
     induced_subgraph,
     is_proper,
     is_triangle_free,
-    shortest_path_to_set,
 )
 from .harness import (
     CheckRecord,

@@ -18,8 +18,9 @@ O(log k) mask operations, whatever the degree. The search runs on an
 explicit stack, not by recursion; at k = n its first descent is the greedy
 DSATUR coloring that gives the upper bound.
 
-Results are memoized per graph, whatever the vertex cap of the call; Graph
-is immutable and hashable, which makes the cache safe.
+The exact search refuses graphs above MAX_VERTICES vertices. Results are
+memoized per graph; Graph is immutable and hashable, which makes the cache
+safe.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from typing import Iterator
 from .graphs import Coloring, Graph, GraphError, _bits, _layers, _lowest
 
 
+MAX_VERTICES = 64
+
+
 class TooLargeError(GraphError):
-    """Graph exceeds the configured cap for exact chromatic search."""
+    """Graph exceeds MAX_VERTICES, the cap for exact chromatic search."""
 
 
 @dataclass(frozen=True)
@@ -201,15 +205,15 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
             forbid[c] ^= new
 
 
-def chromatic_number(g: Graph, max_vertices: int = 64) -> ChromaticResult:
+def chromatic_number(g: Graph) -> ChromaticResult:
     """Exact chromatic number with optimal witness, proved by k-colorability search.
 
-    Raises TooLargeError if g has more than max_vertices vertices; the cap is
-    checked on every call, and the result is cached per graph whatever the
-    cap. The empty graph gets chi = 0 with an empty witness.
+    Raises TooLargeError if g has more than MAX_VERTICES vertices. The result
+    is cached per graph, however the call is spelled. The empty graph gets
+    chi = 0 with an empty witness.
     """
-    if g.n > max_vertices:
-        raise TooLargeError(f"{g.n} vertices is too large for exact search (cap {max_vertices})")
+    if g.n > MAX_VERTICES:
+        raise TooLargeError(f"{g.n} vertices is too large for exact search (cap {MAX_VERTICES})")
     return _chromatic_number(g)
 
 
@@ -241,7 +245,6 @@ def _chromatic_number(g: Graph) -> ChromaticResult:
 
 # The cache statistics of chromatic_number are those of the per-graph cache.
 chromatic_number.cache_info = _chromatic_number.cache_info  # type: ignore[attr-defined]
-chromatic_number.cache_clear = _chromatic_number.cache_clear  # type: ignore[attr-defined]
 
 
 def canonical_form(coloring: Coloring) -> Coloring:

@@ -140,6 +140,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _abbreviate(x: int, digits: int) -> str:
+    """x in full if it has at most the given number of digits, else ~2^k.
+    Decided without str(x), which refuses ints of over 4,300 digits."""
+    return str(x) if x < 10**digits else f"~2^{x.bit_length() - 1}"
+
+
 def _cmd_bounds(args) -> int:
     if args.chi is not None:
         s = guaranteed_length(args.chi)
@@ -148,12 +154,11 @@ def _cmd_bounds(args) -> int:
     if rows:
         print(f"{'s':>3} {'r':>24} {'c':>40}")
         for b in rows:
-            r_str = str(b.r) if len(str(b.r)) <= 24 else f"~2^{b.r.bit_length() - 1}"
-            c_str = str(b.c) if len(str(b.c)) <= 40 else f"~2^{b.c.bit_length() - 1}"
-            print(f"{b.s:>3} {r_str:>24} {c_str:>40}")
+            print(f"{b.s:>3} {_abbreviate(b.r, 24):>24} {_abbreviate(b.c, 40):>40}")
         if args.verbose:
             for b in rows:
-                print(f"s={b.s}: w (w_s..w_1) = {list(b.w)}")
+                weights = ", ".join(_abbreviate(w, 4300) for w in b.w)
+                print(f"s={b.s}: w (w_s..w_1) = [{weights}]")
     return 0
 
 
@@ -209,12 +214,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _make_config(args, thorough: bool = False) -> HarnessConfig:
+def _make_config(args, thorough: bool) -> HarnessConfig:
     return HarnessConfig(
         max_colors_delta=args.delta,
         coloring_cap=args.cap,
         extra_samples=args.samples,
-        budget=SearchBudget(max_nodes=args.budget, on_exceed="flag"),
+        max_nodes=args.budget,
         parallelism=getattr(args, "jobs", 1),
         seed=args.seed,
         thorough=thorough,

@@ -112,7 +112,7 @@ def _graph_facts(g: Graph) -> tuple[bool, list[int], list[int], Callable[[int], 
     in a row; keeping only the latest graph's facts bounds memory.
     """
     chi = functools.cache(
-        lambda subset: chromatic_number(induced_subgraph(g, _bits(subset)).graph).chi
+        lambda subset: chromatic_number(induced_subgraph(g, _bits(subset))).chi
     )
     colors = dsatur_coloring(g).colors
     component = [0] * g.n

@@ -121,9 +121,9 @@ def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
     colorings = []
     k = 1
     for part in parts:
-        sub = induced_subgraph(g, part)
-        local = dsatur_coloring(sub.graph)
-        ordered = tuple(local.colors[sub.to_sub[v]] for v in part)
+        local = dsatur_coloring(induced_subgraph(g, part))
+        color = dict(zip(sorted(set(part)), local.colors))
+        ordered = tuple(color[v] for v in part)
         colorings.append(ordered)
         k = max(k, local.palette_size if part else 1)
     return Grading(
@@ -264,7 +264,7 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     g = cg.graph
     classes = refine_grading(cg, grading)
 
-    class_chis = tuple(chromatic_number(induced_subgraph(g, cls).graph).chi for cls in classes)
+    class_chis = tuple(chromatic_number(induced_subgraph(g, cls)).chi for cls in classes)
     if g.n == 0:
         trace = GradingTrace(class_chis, 0, (), (), (), (), (), (), (), (), False)
         return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace)
@@ -341,10 +341,11 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
             return finish(OutcomeKind.RAINBOW_PATH, candidate, None, False)
         # the parent path picked up a chord in G: search the (rainbow)
         # path set exhaustively instead
-        sub = induced_subgraph(g, path_vertices)
-        result = longest_induced_path(sub.graph, SearchBudget(on_exceed="flag"))
+        result = longest_induced_path(induced_subgraph(g, path_vertices),
+                                      SearchBudget(on_exceed="flag"))
         if result.path.order >= s:
-            mapped = tuple(sub.to_parent[v] for v in result.path.vertices[:s])
+            to_parent = sorted(path_vertices)
+            mapped = tuple(to_parent[v] for v in result.path.vertices[:s])
             candidate = Path(mapped)
             if verify_rainbow_outcome(cg, candidate, s):
                 bfs_attempts.append(BfsAttempt(side, root, max_depth, extracted, False, True))

@@ -268,17 +268,9 @@ def _mask_shortest_path(masks: tuple[int, ...], subset: int, source: int,
     return tuple(reversed(path))
 
 
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """An induced subgraph with the id mapping recorded in both directions."""
-
-    graph: Graph
-    to_sub: dict[int, int] = field(hash=False)
-    to_parent: tuple[int, ...]
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
-    """Subgraph induced by a vertex set; new ids follow sorted original ids."""
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced by a vertex set; new ids follow sorted original ids,
+    so vertex i of the result is sorted(set(vertices))[i]."""
     order = sorted(set(vertices))
     for v in order:
         if not 0 <= v < g.n:
@@ -291,23 +283,4 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
             if u in to_sub:
                 m |= 1 << to_sub[u]
         masks.append(m)
-    return InducedSubgraph(Graph(len(order), tuple(masks)), to_sub, tuple(order))
-
-
-def shortest_path_to_set(g: Graph, source: int, targets: Iterable[int]) -> Path:
-    """Shortest path from source to the first-reached vertex of a target set.
-
-    Expansion is breadth-first with equal-distance vertices expanded in
-    ascending id order, so the result is deterministic. Exactly one path
-    vertex (the last) lies in the target set; the path is chordless.
-    """
-    target_mask = 0
-    for t in targets:
-        if not 0 <= t < g.n:
-            raise GraphError(f"target {t} not in graph")
-        target_mask |= 1 << t
-    if not target_mask:
-        raise GraphError("target set is empty")
-    if not 0 <= source < g.n:
-        raise GraphError(f"source {source} not in graph")
-    return Path(_mask_shortest_path(g.masks, (1 << g.n) - 1, source, target_mask))
+    return Graph(len(order), tuple(masks))

@@ -39,19 +39,20 @@ log = logging.getLogger("rainbowpath.harness")
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Caps and knobs for a conjecture sweep."""
+    """Caps and knobs for a conjecture sweep. max_nodes caps each rainbow
+    search, which then returns its best path so far and never raises."""
 
     max_colors_delta: int = 0
     coloring_cap: int = 1000
     extra_samples: int = 0
-    budget: SearchBudget = SearchBudget(on_exceed="flag")
+    max_nodes: int = 10**8
     parallelism: int = 1
     seed: int = 0
     thorough: bool = False
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.coloring_cap < 1 or self.parallelism < 1:
+        if self.coloring_cap < 1 or self.max_nodes < 1 or self.parallelism < 1:
             raise GraphError("harness caps must be positive")
         if self.max_colors_delta < 0 or self.extra_samples < 0:
             raise GraphError("deltas and sample counts must be non-negative")
@@ -125,7 +126,7 @@ def _colorful_pivots(g: Graph, chi: int, thorough: bool) -> list[int]:
     """
     comps = connected_components(g)
     for comp in comps:
-        if len(comps) == 1 or chromatic_number(induced_subgraph(g, comp).graph).chi == chi:
+        if len(comps) == 1 or chromatic_number(induced_subgraph(g, comp)).chi == chi:
             return list(comp) if thorough else [comp[0]]
     raise GraphError("no component attains the graph's chromatic number")
 
@@ -161,13 +162,14 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         colorings.extend(_sample_colorings(g, max_colors, cfg.extra_samples, rng, seen))
 
     pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
+    budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
     checks: list[CheckRecord] = []
     witness: tuple[int, ...] | None = None
     needed = -(-chi // 2)
 
     for coloring in colorings:
         cg = ColoredGraph(g, coloring)
-        rainbow = longest_induced_rainbow_path(cg, cfg.budget).path.order
+        rainbow = longest_induced_rainbow_path(cg, budget).path.order
         gallai = gallai_roy_rainbow_path(cg)
         # the first pivot among those that see the fewest colors
         colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)

@@ -95,18 +95,12 @@ class TestChromaticNumber:
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
-            chromatic_number(build_graph(70, []), max_vertices=64)
-
-    def test_cap_checked_on_cached_graph(self):
-        g = random_triangle_free(12, 0.3, seed=101)
-        chromatic_number(g)
-        with pytest.raises(TooLargeError):
-            chromatic_number(g, max_vertices=10)
+            chromatic_number(build_graph(70, []))
 
     def test_one_search_per_graph_whatever_the_call_style(self):
         g = random_triangle_free(13, 0.3, seed=102)
         before = chromatic_number.cache_info()
-        results = {chromatic_number(g), chromatic_number(g, max_vertices=64), chromatic_number(g, 64)}
+        results = {chromatic_number(g), chromatic_number(g=g), chromatic_number(g)}
         after = chromatic_number.cache_info()
         assert len(results) == 1
         assert after.misses - before.misses == 1
@@ -142,7 +136,7 @@ class TestChromaticNumber:
 
         v = data.draw(st.integers(0, g.n - 1))
         rest = [u for u in range(g.n) if u != v]
-        smaller = induced_subgraph(g, rest).graph
+        smaller = induced_subgraph(g, rest)
         assert chromatic_number(smaller).chi <= chromatic_number(g).chi
 
 
@@ -271,6 +265,18 @@ class TestKColorable:
         for case in TestFrozenColorability.CASES:
             g = TestFrozenColorability._graph(case)
             assert _k_colorable(g, case["k"]) == naive_k_colorable(g, case["k"]), case
+        # dense random graphs at k = chi - 1 and chi back up often: a cut
+        # that backs up past every frame, or past frames that newly forbid
+        # a single vertex, disagrees with the naive search on a few of these
+        cases = [(n, 0.5, seed, k) for n in range(10, 17) for seed in range(10)
+                 for k in (-1, 0)]
+        # the latter cut, with forbid undone on every frame it backs past,
+        # gives up a coloring on these two only, of 1,920 such graphs
+        cases += [(17, 0.6, 2, 0), (18, 0.6, 7, 0)]
+        for n, p, seed, offset in cases:
+            g = random_triangle_free(n, p, seed)
+            k = chromatic_number(g).chi + offset
+            assert _k_colorable(g, k) == naive_k_colorable(g, k), (n, p, seed, k)
 
     def test_deep_even_cycle(self):
         # a descent of 3,000 vertices, deeper than a recursive search can go

@@ -99,6 +99,20 @@ class TestBounds:
         assert code == 0
         assert "s = 3" in out
 
+    @pytest.mark.parametrize("verbose", [(), ("--verbose",)])
+    def test_values_beyond_the_int_to_str_limit(self, capsys, verbose):
+        # c(38) and the last weights from s = 39 on have more than the 4,300
+        # digits that str() of an int allows; they print as ~2^k
+        code, out, _ = run(capsys, "bounds", "--s", "40", *verbose)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:] if line.split()[0].isdigit()]
+        assert [int(row[0]) for row in rows] == list(range(3, 41))
+        assert rows[-1][2] == "~2^16156"
+        weights = [line for line in out.splitlines() if line.startswith("s=")]
+        assert len(weights) == (38 if verbose else 0)
+        if verbose:
+            assert weights[-1].endswith(", ~2^14913, ~2^15327, ~2^15741]")
+
 
 class TestConstruct:
     def test_c5_with_trace(self, capsys, c5):
@@ -190,6 +204,16 @@ class TestOracleCommand:
     def test_improper_coloring_exits_before_any_search(self, capsys, c5):
         code, out, err = run(capsys, "oracle", encode_graph6(c5), "--coloring", "1 1 2 1 2")
         assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "corpus", "oracle"])
+def test_budget_zero_exit_one(capsys, tmp_path, command):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Dhc\n")
+    target = str(corpus) if command == "corpus" else "Dhc"
+    code, out, err = run(capsys, command, target, "--budget", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheckCommand:

@@ -115,14 +115,14 @@ class TestDisconnected:
         return dataclasses.replace(step, **changes)
 
     def test_matches_construction_on_component(self, g, colorings):
-        sub = induced_subgraph(g, range(5, 16))
-        up = sub.to_parent
+        up = tuple(range(5, 16))
+        sub = induced_subgraph(g, up)
         for coloring in colorings:
             cg = ColoredGraph(g, coloring)
-            sub_cg = ColoredGraph(sub.graph, Coloring(tuple(coloring.colors[v] for v in up)))
+            sub_cg = ColoredGraph(sub, Coloring(tuple(coloring.colors[v] for v in up)))
             for start in up:
                 whole = colorful_path_from(cg, start, 4, strict=True)
-                alone = colorful_path_from(sub_cg, sub.to_sub[start], 4, strict=True)
+                alone = colorful_path_from(sub_cg, up.index(start), 4, strict=True)
                 assert whole.path.vertices == tuple(up[u] for u in alone.path.vertices)
                 assert whole.steps == tuple(self.lift(st, up) for st in alone.steps)
                 assert whole.steps, "chi_lb 4 takes at least one recursion level"

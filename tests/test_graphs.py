@@ -15,7 +15,6 @@ from rainbowpath import (
     induced_subgraph,
     is_proper,
     is_triangle_free,
-    shortest_path_to_set,
 )
 from rainbowpath.graphs import _bits, _mask_components, _mask_shortest_path
 from helpers import (
@@ -112,15 +111,16 @@ class TestConnectedComponents:
 
 class TestInducedSubgraph:
     def test_identity(self, c5):
-        sub = induced_subgraph(c5, range(5))
-        assert sub.graph == c5
-        assert sub.to_parent == (0, 1, 2, 3, 4)
+        assert induced_subgraph(c5, range(5)) == c5
+        # new ids follow sorted original ids: 4, 0, 1 become 2, 0, 1
+        sub = induced_subgraph(c5, [4, 0, 1, 4])
+        assert sorted(sub.edges()) == [(0, 1), (0, 2)]
 
     def test_cycle_segment_is_path(self, c5):
         sub = induced_subgraph(c5, [0, 1, 2])
-        assert sub.graph.edge_count == 2
-        assert sub.graph.has_edge(0, 1) and sub.graph.has_edge(1, 2)
-        assert not sub.graph.has_edge(0, 2)
+        assert sub.edge_count == 2
+        assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
+        assert not sub.has_edge(0, 2)
 
     def test_petersen_five_cycle(self, petersen):
         # find a 5-cycle by walking: it must induce a C5 exactly
@@ -129,7 +129,7 @@ class TestInducedSubgraph:
         G = nx.Graph(list(petersen.edges()))
         cycle = nx.minimum_cycle_basis(G)[0]
         assert len(cycle) == 5
-        sub = induced_subgraph(petersen, cycle).graph
+        sub = induced_subgraph(petersen, cycle)
         assert sub.n == 5 and sub.edge_count == 5
         assert all(sub.degree(v) == 2 for v in range(5))
 
@@ -141,8 +141,8 @@ class TestInducedSubgraph:
     def test_idempotent_under_identity(self, g, data):
         subset = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
         sub = induced_subgraph(g, subset)
-        again = induced_subgraph(sub.graph, range(sub.graph.n))
-        assert again.graph == sub.graph
+        again = induced_subgraph(sub, range(sub.n))
+        assert again == sub
 
 
 class TestClassifyPath:
@@ -165,32 +165,37 @@ class TestClassifyPath:
             classify_path(c5_colored, (0, 1, 0))
 
 
+def full_shortest_path(g, source, targets):
+    """The breadth-first shortest path over the whole vertex set."""
+    return _mask_shortest_path(g.masks, (1 << g.n) - 1, source, sum(1 << t for t in targets))
+
+
 class TestShortestPathToSet:
     def test_source_in_targets(self, c5):
-        assert shortest_path_to_set(c5, 2, {2}).vertices == (2,)
+        assert full_shortest_path(c5, 2, {2}) == (2,)
 
     def test_tie_break_prefers_smaller_neighbor(self, c5):
         # two equal routes around the cycle; ascending expansion wins
-        assert shortest_path_to_set(c5, 0, {2}).vertices == (0, 1, 2)
+        assert full_shortest_path(c5, 0, {2}) == (0, 1, 2)
 
     def test_first_target_reached_wins_over_smaller_id(self):
         # 5 is reached from 1 before 3 is reached from 2
         g = build_graph(6, [(0, 1), (0, 2), (1, 5), (2, 3), (3, 4)])
-        assert shortest_path_to_set(g, 0, {3, 5}).vertices == (0, 1, 5)
+        assert full_shortest_path(g, 0, {3, 5}) == (0, 1, 5)
         assert naive_shortest_path_to_set(g, 0, {3, 5}) == (0, 1, 5)
 
     def test_path_graph(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert shortest_path_to_set(g, 0, {3}).vertices == (0, 1, 2, 3)
+        assert full_shortest_path(g, 0, {3}) == (0, 1, 2, 3)
 
     def test_unreachable(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(GraphError):
-            shortest_path_to_set(g, 0, {2})
+            full_shortest_path(g, 0, {2})
 
     def test_empty_targets(self, c5):
         with pytest.raises(GraphError):
-            shortest_path_to_set(c5, 0, set())
+            full_shortest_path(c5, 0, set())
 
     @given(graphs(), st.data())
     @settings(max_examples=60)
@@ -198,11 +203,11 @@ class TestShortestPathToSet:
         source = data.draw(st.integers(0, g.n - 1))
         target = data.draw(st.integers(0, g.n - 1))
         try:
-            path = shortest_path_to_set(g, source, {target})
+            path = full_shortest_path(g, source, {target})
         except GraphError:
             return
         cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
-        assert classify_path(cg, path.vertices).is_induced
+        assert classify_path(cg, path).is_induced
 
     @given(graphs(), st.data())
     @settings(max_examples=150)
@@ -212,9 +217,9 @@ class TestShortestPathToSet:
         expected = naive_shortest_path_to_set(g, source, targets)
         if expected is None:
             with pytest.raises(GraphError):
-                shortest_path_to_set(g, source, targets)
+                full_shortest_path(g, source, targets)
         else:
-            assert shortest_path_to_set(g, source, targets).vertices == expected
+            assert full_shortest_path(g, source, targets) == expected
 
 
 class TestSubsetSearches:
@@ -227,21 +232,20 @@ class TestSubsetSearches:
         subset = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
         mask = sum(1 << v for v in subset)
         sub = induced_subgraph(g, subset)
+        to_sub = {v: i for i, v in enumerate(subset)}
         assert [tuple(_bits(comp)) for comp in _mask_components(g.masks, mask)] == [
-            tuple(sub.to_parent[v] for v in comp) for comp in connected_components(sub.graph)
+            tuple(subset[v] for v in comp) for comp in connected_components(sub)
         ]
         source = data.draw(st.sampled_from(subset))
         targets = data.draw(st.sets(st.sampled_from(subset), min_size=1))
-        expected = naive_shortest_path_to_set(
-            sub.graph, sub.to_sub[source], {sub.to_sub[t] for t in targets}
-        )
+        expected = naive_shortest_path_to_set(sub, to_sub[source], {to_sub[t] for t in targets})
         target_mask = sum(1 << t for t in targets)
         if expected is None:
             with pytest.raises(GraphError):
                 _mask_shortest_path(g.masks, mask, source, target_mask)
         else:
             assert _mask_shortest_path(g.masks, mask, source, target_mask) == tuple(
-                sub.to_parent[v] for v in expected
+                subset[v] for v in expected
             )
 
 

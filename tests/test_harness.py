@@ -15,7 +15,6 @@ import rainbowpath
 from rainbowpath import (
     Coloring,
     HarnessConfig,
-    SearchBudget,
     build_graph,
     check_graph,
     cycle_graph,
@@ -148,6 +147,19 @@ class TestCheckGraph:
         monkeypatch.setattr(rainbowpath.colorful, "ColorfulStep", refuse)
         assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
 
+    @pytest.mark.parametrize("depth, cap, max_nodes", [(3, 3, 5), (4, 1, 1000)])
+    def test_spent_budget_never_raises(self, depth, cap, max_nodes):
+        # a sweep's searches flag a spent node budget, on Mycielski-4 too,
+        # whose 47 vertices are above the searches' error-mode vertex cap
+        g = mycielski_iterates(depth)[-1]
+        report = check_graph(g, HarnessConfig(coloring_cap=cap, max_nodes=max_nodes))
+        assert report.colorings_checked == cap
+
+    @pytest.mark.parametrize("field", ["coloring_cap", "max_nodes", "parallelism"])
+    def test_caps_must_be_positive(self, field):
+        with pytest.raises(GraphError):
+            HarnessConfig(**{field: 0})
+
     def test_report_json_is_stable(self, c5):
         report = check_graph(c5, HarnessConfig())
         line = report_to_json(report)
@@ -165,7 +177,7 @@ class TestWarnings:
         # short, so the first coloring is reported as a candidate
         g = mycielski_iterates(3)[-1]
         assert encode_graph6(g) == "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
-        cfg = HarnessConfig(coloring_cap=3, budget=SearchBudget(max_nodes=5, on_exceed="flag"))
+        cfg = HarnessConfig(coloring_cap=3, max_nodes=5)
         with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
             report = check_graph(g, cfg, graph_id="m3")
         digest = coloring_digest(Coloring(report.witness_coloring))
