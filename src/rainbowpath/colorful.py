@@ -16,8 +16,14 @@ chromatic number of every recursed subgraph for trace auditing. It works on
 vertex bitmasks of the original graph, removing a color as one mask of the
 coloring's class table (ColoredGraph.classes); what depends only on the
 graph (the entry checks, each vertex's component and the chromatic number
-of each vertex set it compares) is computed once per graph. A level keeps
-only the ints it computed; its ColorfulStep is built on first read.
+of each vertex set it compares) is computed once per graph. So is each
+level: it reads the coloring only through the set left once the start's
+color is removed, and many colorings of one graph leave the same set from
+the same start, so its components, approach path, fan and bridge are
+memoized per graph on (active set, start, remaining set). A level keeps
+only the ints it computed; its ColorfulStep is built on first read. The
+finished path is checked on the adjacency masks in one pass: induced, and
+seeing ceil(chi_lb / 2) colors.
 
 The graph need not be connected: the construction runs inside the start
 vertex's connected component, as the induction does inside a connected
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chromatic import chromatic_number, dsatur_coloring
 from .graphs import (
@@ -38,9 +44,9 @@ from .graphs import (
     GraphError,
     Path,
     _bits,
+    _is_induced,
     _mask_components,
     _mask_shortest_path,
-    classify_path,
     connected_components,
     induced_subgraph,
     is_triangle_free,
@@ -101,19 +107,54 @@ class ColorfulResult:
         )
 
 
+# a level's chosen component, approach path, fan, second component and bridge
+_Level = tuple[int, tuple[int, ...], int, int, int]
+
+
+class _GraphFacts(NamedTuple):
+    triangle_free: bool
+    component: list[int]
+    upper_bound: list[int]
+    chi: Callable[[int], int]
+    level: Callable[[int, int, int], _Level]
+
+
 @functools.lru_cache(maxsize=1)
-def _graph_facts(g: Graph) -> tuple[bool, list[int], list[int], Callable[[int], int]]:
+def _graph_facts(g: Graph) -> _GraphFacts:
     """What the construction needs to know about g whatever its coloring:
     triangle-free; per vertex, the bitmask of its connected component and an
-    upper bound on that component's chi (the colors DSATUR uses on it); and a
-    memoized chi of the subgraph induced by a vertex bitmask.
+    upper bound on that component's chi (the colors DSATUR uses on it); a
+    memoized chi of the subgraph induced by a vertex bitmask; and a memoized
+    level of the construction.
+
+    A level reads the coloring only through the vertex set left once the
+    start's color class is removed, so `level(active, v, remaining)` gives
+    its chosen component c1, approach path, fan, second component c2 and
+    bridge for every coloring that leaves the same set. It raises GraphError
+    when the fan empties c1, and then caches nothing.
 
     A sweep runs the construction for every coloring and pivot of one graph
-    in a row; keeping only the latest graph's facts bounds memory.
+    in a row; keeping only the latest graph's facts bounds memory: the level
+    memo holds at most one entry per coloring, pivot and level run on it.
     """
+    masks = g.masks
     chi = functools.cache(
         lambda subset: chromatic_number(induced_subgraph(g, _bits(subset))).chi
     )
+
+    @functools.cache
+    def level(active: int, v: int, remaining: int) -> _Level:
+        c1 = max(_mask_components(masks, remaining), key=chi)
+        p = _mask_shortest_path(masks, active, v, c1)
+        fan = masks[p[-2]] & c1  # independent: the graph is triangle-free
+        pruned = c1 & ~fan
+        if not pruned:
+            raise GraphError("component vanished after fan removal; chi_lb overstated")
+        c2 = max(_mask_components(masks, pruned), key=chi)
+        # c1 is connected and the fan is not empty, so some fan vertex meets c2
+        bridge = next(u for u in _bits(fan) if masks[u] & c2)
+        return c1, p, fan, c2, bridge
+
     colors = dsatur_coloring(g).colors
     component = [0] * g.n
     upper_bound = [0] * g.n
@@ -123,7 +164,7 @@ def _graph_facts(g: Graph) -> tuple[bool, list[int], list[int], Callable[[int], 
         for v in comp:
             component[v] = mask
             upper_bound[v] = palette
-    return is_triangle_free(g), component, upper_bound, chi
+    return _GraphFacts(is_triangle_free(g), component, upper_bound, chi, level)
 
 
 def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
@@ -143,13 +184,12 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
         raise GraphError(f"start vertex {start} not in graph")
     if chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    triangle_free, component, upper_bound, chi = _graph_facts(g)
+    triangle_free, component, upper_bound, chi, level = _graph_facts(g)
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
     if chi_lb > upper_bound[start]:
         raise GraphError(f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound")
 
-    masks = g.masks
     active, v, lb = component[start], start, chi_lb
     path: list[int] = []
     levels: list[tuple] = []
@@ -158,15 +198,7 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
         remaining = active & ~cg.classes[c]
         if not remaining:
             raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
-        c1 = max(_mask_components(masks, remaining), key=chi)
-        p = _mask_shortest_path(masks, active, v, c1)
-        fan = masks[p[-2]] & c1  # independent: the graph is triangle-free
-        pruned = c1 & ~fan
-        if not pruned:
-            raise GraphError("component vanished after fan removal; chi_lb overstated")
-        c2 = max(_mask_components(masks, pruned), key=chi)
-        # c1 is connected and the fan is not empty, so some fan vertex meets c2
-        bridge = next(u for u in _bits(fan) if masks[u] & c2)
+        c1, p, fan, c2, bridge = level(active, v, remaining)
         # the rest of the path lies inside c2 and the bridge, which avoid color c
         recursed = c2 | 1 << bridge
         levels.append((lb, v, c, active, remaining, c1, p, fan, c2, bridge,
@@ -176,7 +208,8 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
     path.append(v)
 
     result = Path(tuple(path))
-    report = classify_path(cg, result.vertices)
-    if not report.is_induced or report.color_count < -(-chi_lb // 2):
+    colors = cg.coloring.colors
+    if not _is_induced(g.masks, path) or len({colors[u] for u in path}) < -(-chi_lb // 2):
         raise GraphError("construction produced an invalid path; is chi_lb too large?")
     return ColorfulResult(path=result, levels=tuple(levels))
+

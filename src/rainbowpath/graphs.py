@@ -188,25 +188,27 @@ def check_path(g: Graph, seq: tuple[int, ...] | list[int]) -> Path:
     return path
 
 
+def _is_induced(masks: Sequence[int], seq: Sequence[int]) -> bool:
+    """Whether distinct vertices seq form an induced path: each adjacent to
+    the one before it and to none two or more places before it. O(len(seq))."""
+    before = 0  # the vertices two or more places before b
+    for a, b in zip(seq, seq[1:]):
+        if not masks[a] >> b & 1 or masks[b] & before:
+            return False
+        before |= 1 << a
+    return True
+
+
 def classify_path(cg: ColoredGraph, seq: tuple[int, ...] | list[int]) -> PathReport:
     """Report order, inducedness, rainbowness, and color count of a path.
 
     Raises GraphError if seq is not a path of the underlying graph.
     """
     path = check_path(cg.graph, seq)
-    vs = path.vertices
-    induced = True
-    for i, u in enumerate(vs):
-        for v in vs[i + 2:]:
-            if cg.graph.has_edge(u, v):
-                induced = False
-                break
-        if not induced:
-            break
-    color_count = len({cg.color_of(v) for v in vs})
+    color_count = len({cg.color_of(v) for v in path.vertices})
     return PathReport(
         order=path.order,
-        is_induced=induced,
+        is_induced=_is_induced(cg.graph.masks, path.vertices),
         is_rainbow=color_count == path.order,
         color_count=color_count,
     )

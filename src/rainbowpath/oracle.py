@@ -277,10 +277,12 @@ def _longest_directed_path(orientation: list[tuple[int, int]]) -> tuple[int, ...
     (vertex, in-neighbor mask) pairs in a topological order.
 
     Each vertex extends the smallest-id longest path into it, and of the
-    longest paths the one ending at the smallest id wins.
+    longest paths the one ending at the smallest id wins. The path is walked
+    back once from the final levels: a vertex's in-neighbors precede it in
+    the topological order, so no vertex that joins a level after it is one
+    of them, and the final levels give the predecessor it had when placed.
     """
     levels: list[int] = []  # levels[i]: vertices ending a longest path of i + 1
-    pred: dict[int, int] = {}
     for v, ins in orientation:
         i = len(levels)
         while i and not ins & levels[i - 1]:
@@ -288,10 +290,10 @@ def _longest_directed_path(orientation: list[tuple[int, int]]) -> tuple[int, ...
         if i == len(levels):
             levels.append(0)
         levels[i] |= 1 << v
-        pred[v] = _lowest(ins & levels[i - 1]) if i else -1
+    ins_of = dict(orientation)
     rev = [_lowest(levels[-1])]
-    while pred[rev[-1]] != -1:
-        rev.append(pred[rev[-1]])
+    for level in reversed(levels[:-1]):
+        rev.append(_lowest(ins_of[rev[-1]] & level))
     return tuple(reversed(rev))
 
 

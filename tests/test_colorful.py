@@ -15,6 +15,7 @@ from rainbowpath import (
     chromatic_number,
     classify_path,
     colorful_path_from,
+    cycle_graph,
     dsatur_coloring,
     induced_subgraph,
     iter_colorings,
@@ -22,7 +23,10 @@ from rainbowpath import (
     mycielski_iterates,
     random_triangle_free,
 )
+from rainbowpath import colorful
+from rainbowpath.colorful import _graph_facts
 from rainbowpath.graphs import GraphError
+from rainbowpath.harness import _colorful_pivots
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +155,31 @@ class TestErrors:
             colorful_path_from(c5_colored, 9, 2)
 
 
+class TestSelfCheck:
+    """The construction checks its own path on the adjacency masks: each
+    vertex adjacent to the one before it and to none two or more places
+    before it, and ceil(chi_lb/2) colors."""
+
+    @pytest.mark.parametrize("path", [
+        (0, 3),  # two colors, but 0 and 3 are not adjacent
+        (0, 1, 2, 3, 4),  # three colors, but 4 meets 0
+        (0,),  # induced, but one color
+    ])
+    def test_corrupt_level_rejected(self, monkeypatch, c5, c5_colored, path):
+        # chi_lb 3 takes one level, whose path is its approach path less its
+        # last vertex, then its bridge: a level that yields a path which is
+        # not induced, or sees fewer than 2 colors, fails the final check
+        facts = _graph_facts(c5)
+
+        def corrupt(active, v, remaining):
+            c1, _, fan, c2, _ = facts.level(active, v, remaining)
+            return c1, path[:-1] + (None,), fan, c2, path[-1]
+
+        monkeypatch.setattr(colorful, "_graph_facts", lambda g: facts._replace(level=corrupt))
+        with pytest.raises(GraphError, match="invalid path"):
+            colorful_path_from(c5_colored, 0, 3)
+
+
 class TestGuaranteeSweep:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_mycielski_chain_every_vertex(self, depth):
@@ -276,3 +305,84 @@ class TestTraceIdentity:
                 [list(result.path.vertices), [dataclasses.astuple(st) for st in result.steps]]
             ))
             assert got == [case["path"], case["steps"]], (case["graph"], case["colors"], case["start"])
+
+
+class TestLevelMemo:
+    """A level is memoized per graph by its active set, start vertex and the
+    set left once the start's color is removed: a build on facts warmed by
+    other colorings, starts and graphs equals a build on cold facts, and the
+    sweep's colorings share their levels."""
+
+    def assert_warm_matches_cold(self, cases):
+        """cases: (ColoredGraph, start, chi) triples, built in order on
+        facts left warm by the triples before them."""
+        _graph_facts.cache_clear()
+        warm = [colorful_path_from(cg, start, chi) for cg, start, chi in cases]
+        for result, (cg, start, chi) in zip(warm, cases):
+            _graph_facts.cache_clear()
+            cold = colorful_path_from(cg, start, chi)
+            assert (result.path, result.levels) == (cold.path, cold.levels), (cg.coloring, start)
+            assert result.steps == cold.steps
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_warm_matches_cold_on_mycielski_iterates(self, depth):
+        g = mycielski_iterates(depth)[-1]
+        chi = chromatic_number(g).chi
+        colorings = [dsatur_coloring(g), *itertools.islice(iter_colorings(g, chi), 0, 1000, 50)]
+        self.assert_warm_matches_cold(
+            [(ColoredGraph(g, coloring), start, chi)
+             for coloring in colorings for start in range(g.n)])
+
+    @pytest.mark.parametrize("i", range(32))
+    def test_warm_matches_cold_on_random_thorough_graphs(self, i):
+        # the random-thorough benchmark's seed-0 graphs at --delta 1, from
+        # every pivot that its --thorough sweep starts from
+        grotzsch = mycielski_iterates(2)[-1]
+        if i < 30:
+            g = random_triangle_free(18, 0.3, seed=i)
+        elif i == 30:
+            g = grotzsch
+        else:
+            c5 = [(11 + u, 11 + v) for u, v in cycle_graph(5).edges()]
+            g = build_graph(16, list(grotzsch.edges()) + c5)
+        chi = chromatic_number(g).chi
+        pivots = _colorful_pivots(g, chi, thorough=True)
+        self.assert_warm_matches_cold(
+            [(ColoredGraph(g, coloring), start, chi)
+             for coloring in itertools.islice(iter_colorings(g, chi + 1), 0, 20, 4)
+             for start in pivots])
+
+    def test_graph_switches(self, c5, grotzsch):
+        # A, B, then A again: the facts of one graph never serve another
+        def cases(g):
+            chi = chromatic_number(g).chi
+            return [(ColoredGraph(g, coloring), start, chi)
+                    for coloring in itertools.islice(iter_colorings(g, chi), 0, 100, 20)
+                    for start in range(g.n)]
+
+        self.assert_warm_matches_cold(cases(grotzsch) + cases(c5) + cases(grotzsch))
+
+    def test_key_holds_the_active_set(self):
+        # the approach path runs inside the active set: on C7, from 0 to the
+        # component {3, 4} of the same remaining set, it goes round whichever
+        # side of the cycle is active
+        level = _graph_facts(cycle_graph(7)).level
+        remaining = 1 << 3 | 1 << 4
+        assert level(0b1111001, 0, remaining)[1] == (0, 6, 5, 4)
+        assert level(0b0011111, 0, remaining)[1] == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("depth, colorings, levels, entries", [
+        (1, 5, 5, 3), (2, 520, 520, 19), (3, 1000, 2000, 16),
+    ])
+    def test_sweep_reuses_levels(self, depth, colorings, levels, entries):
+        # the sweep's colorings of C5, Grotzsch and Mycielski-3 from pivot 0:
+        # thousands of levels on a few distinct level inputs
+        g = mycielski_iterates(depth)[-1]
+        chi = chromatic_number(g).chi
+        _graph_facts.cache_clear()
+        built = 0
+        for coloring in itertools.islice(iter_colorings(g, chi), 1000):
+            colorful_path_from(ColoredGraph(g, coloring), 0, chi)
+            built += 1
+        info = _graph_facts(g).level.cache_info()
+        assert (built, info.hits + info.misses, info.currsize) == (colorings, levels, entries)

@@ -16,7 +16,7 @@ from rainbowpath import (
     is_proper,
     is_triangle_free,
 )
-from rainbowpath.graphs import _bits, _mask_components, _mask_shortest_path
+from rainbowpath.graphs import _bits, _is_induced, _mask_components, _mask_shortest_path
 from helpers import (
     naive_is_proper,
     naive_shortest_path_to_set,
@@ -157,6 +157,21 @@ class TestClassifyPath:
     def test_full_cycle_walk_not_induced(self, c5_colored):
         rep = classify_path(c5_colored, (4, 0, 1, 2, 3))
         assert not rep.is_induced and rep.color_count == 3
+
+    def test_chord_two_places_back_not_induced(self):
+        triangle = ColoredGraph(build_graph(3, [(0, 1), (1, 2), (0, 2)]), Coloring((1, 2, 3)))
+        assert classify_path(triangle, (0, 1)).is_induced
+        assert not classify_path(triangle, (0, 1, 2)).is_induced
+
+    @given(graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_is_induced_matches_pairwise_definition(self, g, data):
+        # one pass over the masks agrees with the definition on every pair:
+        # consecutive vertices adjacent, all others not
+        seq = data.draw(st.permutations(range(g.n)))[:data.draw(st.integers(1, g.n))]
+        pairwise = all(g.has_edge(u, v) == (j == i + 1)
+                       for i, u in enumerate(seq) for j, v in enumerate(seq) if i < j)
+        assert _is_induced(g.masks, seq) == pairwise
 
     def test_rejects_non_path(self, c5_colored):
         with pytest.raises(GraphError):
