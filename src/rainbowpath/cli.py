@@ -84,8 +84,7 @@ def render_colorful_trace(result: ColorfulResult) -> list[str]:
         out.append(f"  approach path: {list(st.approach_path)} pivot={st.pivot}")
         out.append(f"  pivot fan: {list(st.pivot_fan)}")
         out.append(f"  second component: {list(st.second_component)} bridge={st.bridge}")
-        if st.recomputed_chi is not None:
-            out.append(f"  recursed subgraph chi (audit): {st.recomputed_chi}")
+        out.append(f"  recursed subgraph chi (audit): {st.recomputed_chi}")
         out.append(f"  sub path: {list(st.sub_path)}")
         out.append(f"  assembled: {list(st.assembled)}")
     return out
@@ -167,7 +166,7 @@ def _cmd_construct(args) -> int:
     coloring = _read_coloring(args)
     cg = ColoredGraph(g, coloring)
     chi_lb = args.chi_lb if args.chi_lb is not None else chromatic_number(g).chi
-    result = colorful_path_from(cg, args.start, chi_lb, strict=args.strict)
+    result = colorful_path_from(cg, args.start, chi_lb)
     report = classify_path(cg, result.path.vertices)
     print(f"path: {list(result.path.vertices)}")
     print(f"order: {report.order}  induced: {report.is_induced}  "
@@ -295,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--chi-lb", type=int, dest="chi_lb",
                    help="chromatic lower bound (default: exact chi)")
-    p.add_argument("--strict", action="store_true",
-                   help="recompute chi of every recursed subgraph for the trace")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_construct)
 

@@ -11,8 +11,8 @@ so R sees at least ceil(chi_lb / 2) distinct colors while staying induced.
 
 The induction runs as one loop, a level per pass. It trusts the caller's
 chromatic lower bound and lowers it by two per level, exactly like the
-induction it implements; strict mode additionally recomputes the exact
-chromatic number of every recursed subgraph for trace auditing. It works on
+induction it implements; the trace audits that bound with the exact
+chromatic number of every recursed subgraph. It works on
 vertex bitmasks of the original graph, removing a color as one mask of the
 coloring's class table (ColoredGraph.classes); what depends only on the
 graph (the entry checks, each vertex's component and the chromatic number
@@ -21,7 +21,8 @@ level: it reads the coloring only through the set left once the start's
 color is removed, and many colorings of one graph leave the same set from
 the same start, so its components, approach path, fan and bridge are
 memoized per graph on (active set, start, remaining set). A level keeps
-only the ints it computed; its ColorfulStep is built on first read. The
+only the ints it computed; its ColorfulStep, audit chi included, is built
+on first read, so a sweep that reads only paths computes no audit. The
 finished path is checked on the adjacency masks in one pass: induced, and
 seeing ceil(chi_lb / 2) colors.
 
@@ -34,7 +35,7 @@ full bound.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .chromatic import chromatic_number, dsatur_coloring
@@ -73,7 +74,7 @@ class ColorfulStep:
     recursed_vertices: tuple[int, ...]
     sub_path: tuple[int, ...]
     assembled: tuple[int, ...]
-    recomputed_chi: int | None
+    recomputed_chi: int
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,20 @@ class ColorfulResult:
     """The constructed path and, per level, the ints computed for it: chi_lb,
     start, removed color, the active, after-removal and chosen-component
     masks, the approach path, the fan and second-component masks, the
-    bridge, the strict-mode chi of the recursed set (else None) and the
-    offset in the path where the level's part starts. `steps`, the
-    ColorfulStep trace in level order, is built from them on first read."""
+    bridge and the offset in the path where the level's part starts.
+    `steps`, the ColorfulStep trace in level order, is built from them on
+    first read, with each recursed set's chi taken from the memo of the
+    graph the result was built on; that graph takes no part in equality,
+    hashing or repr."""
 
     path: Path
     levels: tuple[tuple, ...]
+    graph: Graph = field(compare=False, repr=False)
 
     @functools.cached_property
     def steps(self) -> tuple[ColorfulStep, ...]:
         path = self.path.vertices
+        chi = _graph_facts(self.graph).chi
         return tuple(
             ColorfulStep(
                 level=level, chi_lb=chi_lb, start=v, removed_color=c,
@@ -100,10 +105,10 @@ class ColorfulResult:
                 second_component=tuple(_bits(c2)), bridge=bridge,
                 recursed_vertices=tuple(_bits(c2 | 1 << bridge)),
                 sub_path=path[offset + len(p) - 1:], assembled=path[offset:],
-                recomputed_chi=recomputed_chi,
+                recomputed_chi=chi(c2 | 1 << bridge),
             )
             for level, (chi_lb, v, c, active, remaining, c1, p, fan, c2, bridge,
-                        recomputed_chi, offset) in enumerate(self.levels)
+                        offset) in enumerate(self.levels)
         )
 
 
@@ -167,8 +172,7 @@ def _graph_facts(g: Graph) -> _GraphFacts:
     return _GraphFacts(is_triangle_free(g), component, upper_bound, chi, level)
 
 
-def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
-                       strict: bool = False) -> ColorfulResult:
+def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int) -> ColorfulResult:
     """Induced path from `start` seeing at least ceil(chi_lb/2) colors.
 
     Runs inside the connected component of `start`, so the graph need not be
@@ -176,15 +180,15 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
     chromatic number of that component, checked against a cheap upper bound:
     the colors a DSATUR coloring uses on it. A bound overstated past that
     check surfaces as a structural error at some level, or not at all when
-    the path still sees ceil(chi_lb/2) colors. The result's `steps` are
-    built on first read.
+    the path still sees ceil(chi_lb/2) colors. The result's `steps`, with
+    the exact chi of every recursed subgraph, are built on first read.
     """
     g = cg.graph
     if not 0 <= start < g.n:
         raise GraphError(f"start vertex {start} not in graph")
     if chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    triangle_free, component, upper_bound, chi, level = _graph_facts(g)
+    triangle_free, component, upper_bound, _, level = _graph_facts(g)
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
     if chi_lb > upper_bound[start]:
@@ -199,17 +203,15 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int,
         if not remaining:
             raise GraphError(f"no vertices left after removing color {c}; chi_lb overstated")
         c1, p, fan, c2, bridge = level(active, v, remaining)
-        # the rest of the path lies inside c2 and the bridge, which avoid color c
-        recursed = c2 | 1 << bridge
-        levels.append((lb, v, c, active, remaining, c1, p, fan, c2, bridge,
-                       chi(recursed) if strict else None, len(path)))
+        levels.append((lb, v, c, active, remaining, c1, p, fan, c2, bridge, len(path)))
         path += p[:-1]
-        active, v, lb = recursed, bridge, lb - 2
+        # the rest of the path lies inside c2 and the bridge, which avoid color c
+        active, v, lb = c2 | 1 << bridge, bridge, lb - 2
     path.append(v)
 
     result = Path(tuple(path))
     colors = cg.coloring.colors
     if not _is_induced(g.masks, path) or len({colors[u] for u in path}) < -(-chi_lb // 2):
         raise GraphError("construction produced an invalid path; is chi_lb too large?")
-    return ColorfulResult(path=result, levels=tuple(levels))
+    return ColorfulResult(path=result, levels=tuple(levels), graph=g)
 

@@ -10,9 +10,12 @@ either some path vertex has enough later neighbors of distinct colors (a
 witness) or a breadth-first tree inside the path's vertex set is deep
 enough to surface an induced rainbow path of the target order.
 
-The witness scan and the probe read per-vertex arc bitmasks (_arc_masks);
-the probe is the shared breadth-first search graphs._layers inside the
-path's vertex set, and the witness takes the smallest s arc-neighbors.
+The witness scan and the probe stay inside one longest path's vertex set,
+where every arc of the class belongs to that path's side, so they read the
+color orientation's per-vertex in- and out-neighbor bitmasks directly; the
+forward and backward arc lists exist only for the trace. The probe is the
+shared breadth-first search graphs._layers inside the path's vertex set,
+and the witness takes the smallest s arc-neighbors.
 
 Every returned path or witness is re-verified against the original colored
 graph before being reported, and a procedure run always carries a full
@@ -216,21 +219,6 @@ def verify_witness_outcome(cg: ColoredGraph, grading: Grading, witness: Witness,
     )
 
 
-def _arc_masks(n: int, arcs: list[tuple[int, int]], outgoing: bool) -> tuple[list[int], list[int]]:
-    """Per-vertex bitmasks (step, back) of one side's arcs.
-
-    step[v] is where the side's BFS goes from v: arc heads on the forward
-    side (outgoing=True), arc tails on the backward side; both point at
-    strictly later grading parts. back[v] is the reverse direction.
-    """
-    heads = [0] * n
-    tails = [0] * n
-    for u, w in arcs:
-        heads[u] |= 1 << w
-        tails[w] |= 1 << u
-    return (heads, tails) if outgoing else (tails, heads)
-
-
 def _global_witness(cg: ColoredGraph, grading: Grading, s: int) -> Witness | None:
     """Whole-graph scan for a witness vertex (not restricted to path sets)."""
     for v in range(cg.graph.n):
@@ -270,7 +258,8 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace)
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
     class_vertices = classes[j]
-    orientation = _color_orientation(g.masks, cg.classes, sum(1 << v for v in class_vertices))
+    class_mask = sum(1 << v for v in class_vertices)
+    orientation = _color_orientation(g.masks, cg.classes, class_mask)
     arcs = sorted((u, w) for w, ins in orientation for u in _bits(ins))
 
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
@@ -304,13 +293,18 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         )
         return GradingOutcome(kind, path, witness, trace)
 
+    # Both searches stay inside one longest path's vertex set. Colors rise
+    # along the path, and grading order rises (forward) or falls (backward)
+    # with them, so every class arc inside that set is one of the side's
+    # arcs: in the class, out-neighbors step to later parts on the forward
+    # side and in-neighbors do on the backward side.
+    ins = [0] * g.n
+    for w, mask in orientation:
+        ins[w] = mask
+    outs = [mask & class_mask & ~i for mask, i in zip(g.masks, ins)]
     sides = [
-        (side, path_vertices, outgoing, sum(1 << v for v in path_vertices),
-         *_arc_masks(g.n, side_arcs, outgoing))
-        for side, path_vertices, side_arcs, outgoing in (
-            ("forward", forward_path, forward_arcs, True),
-            ("backward", backward_path, backward_arcs, False),
-        )
+        ("forward", forward_path, True, sum(1 << v for v in forward_path), outs, ins),
+        ("backward", backward_path, False, sum(1 << v for v in backward_path), ins, outs),
     ]
     for _, path_vertices, _, members, step, _ in sides:
         v = next((v for v in path_vertices if (step[v] & members).bit_count() >= s), None)

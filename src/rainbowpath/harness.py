@@ -85,8 +85,10 @@ class ConjectureReport:
 
 
 def coloring_digest(coloring: Coloring) -> str:
-    canon = canonical_form(coloring)
-    payload = ",".join(str(c) for c in canon.colors).encode("ascii")
+    """Short hash of a canonical coloring's colors, hashed as given: every
+    coloring check_graph sweeps is already canonical (iter_colorings emits
+    canonical forms and _sample_colorings canonicalizes its samples)."""
+    payload = ",".join(str(c) for c in coloring.colors).encode("ascii")
     return hashlib.sha256(payload).hexdigest()[:16]
 
 

@@ -73,6 +73,7 @@ class TestUsageErrors:
         ("check",),
         ("check", "Dhc", "--cap", "x"),
         ("generate", "--kind", "unknown"),
+        ("construct", "Dhc", "--coloring", "1 2 1 2 3", "--strict"),
     ])
     def test_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +124,16 @@ class TestConstruct:
         assert code == 0
         assert "path: [0, 4]" in out
         assert "level 0" in out and "removed_color=1" in out
+
+    def test_trace_always_audits(self, capsys):
+        # C5 at chi 3 takes one level, whose recursed subgraph (a vertex and
+        # the bridge next to it) has chi 2
+        code, out, _ = run(capsys, "construct", "Dhc", "--coloring", "1 2 1 2 3", "--trace")
+        assert code == 0
+        levels = [line for line in out.splitlines() if line.startswith("level ")]
+        audits = [line for line in out.splitlines()
+                  if line.startswith("  recursed subgraph chi (audit): ")]
+        assert len(levels) == 1 and audits == ["  recursed subgraph chi (audit): 2"]
 
     def test_coloring_file(self, capsys, tmp_path, c5):
         f = tmp_path / "coloring.txt"

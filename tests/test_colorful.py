@@ -125,8 +125,8 @@ class TestDisconnected:
             cg = ColoredGraph(g, coloring)
             sub_cg = ColoredGraph(sub, Coloring(tuple(coloring.colors[v] for v in up)))
             for start in up:
-                whole = colorful_path_from(cg, start, 4, strict=True)
-                alone = colorful_path_from(sub_cg, up.index(start), 4, strict=True)
+                whole = colorful_path_from(cg, start, 4)
+                alone = colorful_path_from(sub_cg, up.index(start), 4)
                 assert whole.path.vertices == tuple(up[u] for u in alone.path.vertices)
                 assert whole.steps == tuple(self.lift(st, up) for st in alone.steps)
                 assert whole.steps, "chi_lb 4 takes at least one recursion level"
@@ -249,22 +249,21 @@ class TestGuaranteeSweep:
             assert colors_seen(cg, oracle.path) >= needed
 
 
-class TestStrictMode:
+class TestLazyTrace:
+    """The trace is built from the levels on first read, audit chi included:
+    each recursed subgraph's exact chi, taken from the memo of the graph the
+    result was built on. It is built once, and neither it nor that graph
+    takes part in equality, hashing or repr."""
+
     def test_audit_records_chi(self, grotzsch):
         cg = ColoredGraph(grotzsch, chromatic_number(grotzsch).witness)
-        result = colorful_path_from(cg, 0, 4, strict=True)
+        result = colorful_path_from(cg, 0, 4)
+        assert result.steps
         for st in result.steps:
-            assert st.recomputed_chi is not None
             assert st.recomputed_chi >= st.chi_lb - 2
 
-
-class TestLazyTrace:
-    """The trace is built from the levels on first read: without strict mode
-    it is the strict trace less the recomputed chromatic numbers, it is
-    built once, and it takes no part in equality or hashing."""
-
     @pytest.mark.parametrize("depth", [2, 3])
-    def test_matches_strict_trace(self, depth):
+    def test_audit_chi_matches_recursed_subgraph(self, depth):
         g = mycielski_iterates(depth)[-1]
         chi = chromatic_number(g).chi
         colorings = [dsatur_coloring(g), *itertools.islice(iter_colorings(g, chi), 20)]
@@ -272,20 +271,36 @@ class TestLazyTrace:
             cg = ColoredGraph(g, coloring)
             for start in range(g.n):
                 result = colorful_path_from(cg, start, chi)
-                strict = colorful_path_from(cg, start, chi, strict=True)
-                assert result.path == strict.path
-                assert result.steps == tuple(
-                    dataclasses.replace(st, recomputed_chi=None) for st in strict.steps)
+                assert result.steps
+                for st in result.steps:
+                    sub = induced_subgraph(g, st.recursed_vertices)
+                    assert st.recomputed_chi == chromatic_number(sub).chi
                 assert result.steps is result.steps
                 again = colorful_path_from(cg, start, chi)
                 assert again == result and hash(again) == hash(result)
+                assert repr(again) == repr(result) and "graph" not in repr(result)
+
+    def test_steps_read_after_another_graph(self, c5_colored, grotzsch):
+        # the memo holds only the latest graph's facts: a Grotzsch result
+        # whose steps are first read after a build on C5 equals a cold build
+        cg = ColoredGraph(grotzsch, chromatic_number(grotzsch).witness)
+        results = [colorful_path_from(cg, start, 4) for start in range(grotzsch.n)]
+        for start, result in enumerate(results):
+            colorful_path_from(c5_colored, 0, 3)
+            warm = result.steps
+            for st in warm:
+                sub = induced_subgraph(grotzsch, st.recursed_vertices)
+                assert st.recomputed_chi == chromatic_number(sub).chi
+            _graph_facts.cache_clear()
+            assert warm == colorful_path_from(cg, start, 4).steps
 
 
 class TestTraceIdentity:
-    """Full strict-mode traces, every ColorfulStep field, frozen from the
-    construction as it stood before its recursion moved to vertex bitmasks:
-    Grotzsch and Mycielski-3 under three enumerated optimal colorings each
-    (indices 0, 173, 519 and 0, 400, 999), from every start vertex."""
+    """Full traces, every ColorfulStep field with the audit chi, frozen from
+    the construction as it stood before its recursion moved to vertex
+    bitmasks: Grotzsch and Mycielski-3 under three enumerated optimal
+    colorings each (indices 0, 173, 519 and 0, 400, 999), from every start
+    vertex."""
 
     @pytest.fixture(scope="class")
     def frozen(self):
@@ -299,7 +314,7 @@ class TestTraceIdentity:
         assert len(frozen["cases"]) == 3 * 11 + 3 * 23
         for case in frozen["cases"]:
             cg = ColoredGraph(graphs[case["graph"]], Coloring(tuple(case["colors"])))
-            result = colorful_path_from(cg, case["start"], case["chi"], strict=True)
+            result = colorful_path_from(cg, case["start"], case["chi"])
             # a JSON round trip turns the tuples into the lists that were frozen
             got = json.loads(json.dumps(
                 [list(result.path.vertices), [dataclasses.astuple(st) for st in result.steps]]

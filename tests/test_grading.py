@@ -189,6 +189,12 @@ class TestTraceInvariants:
         for u, v in tr.backward_arcs:
             assert grading.part_of[v] < grading.part_of[u]
 
+        # inside a longest path's vertex set every class arc is one of its
+        # side's arcs, so the witness scan and the BFS read the orientation
+        for pv, side_arcs in ((tr.forward_path, tr.forward_arcs),
+                              (tr.backward_path, tr.backward_arcs)):
+            assert {(u, v) for u, v in tr.arcs if u in pv and v in pv} <= set(side_arcs)
+
         # longest directed paths are rainbow vertex sets
         for pv in (tr.forward_path, tr.backward_path):
             colors = [cg.color_of(v) for v in pv]

@@ -16,6 +16,7 @@ from rainbowpath import (
     Coloring,
     HarnessConfig,
     build_graph,
+    canonical_form,
     check_graph,
     cycle_graph,
     encode_graph6,
@@ -146,6 +147,19 @@ class TestCheckGraph:
 
         monkeypatch.setattr(rainbowpath.colorful, "ColorfulStep", refuse)
         assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
+
+    def test_digest_canonicalizes_nothing(self, monkeypatch, grotzsch):
+        # iter_colorings emits canonical forms, so without samples the sweep
+        # hashes every coloring as given
+        calls = []
+
+        def counted(coloring):
+            calls.append(coloring)
+            return canonical_form(coloring)
+
+        monkeypatch.setattr(rainbowpath.harness, "canonical_form", counted)
+        report = check_graph(grotzsch, HarnessConfig(coloring_cap=20, extra_samples=0))
+        assert report.colorings_checked == 20 and calls == []
 
     @pytest.mark.parametrize("depth, cap, max_nodes", [(3, 3, 5), (4, 1, 1000)])
     def test_spent_budget_never_raises(self, depth, cap, max_nodes):
