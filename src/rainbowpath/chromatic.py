@@ -19,8 +19,11 @@ explicit stack, not by recursion; at k = n its first descent is the greedy
 DSATUR coloring that gives the upper bound.
 
 The exact search refuses graphs above MAX_VERTICES vertices. Results are
-memoized per graph; Graph is immutable and hashable, which makes the cache
-safe.
+memoized per graph, for the latest 1,024 graphs; Graph is immutable and
+hashable, which makes the cache safe. The cap keeps memory flat on long
+corpora. The cache is not scoped to the graph in hand: the colorful
+construction asks for chi of the same tiny subgraphs (n <= 5) on every
+graph, and a one-graph cache would recompute them each time.
 """
 
 from __future__ import annotations
@@ -63,12 +66,11 @@ def dsatur_coloring(g: Graph) -> Coloring:
 
 
 def _greedy_clique(g: Graph) -> tuple[int, ...]:
-    """Greedy maximal clique grown from the highest-degree vertex."""
-    if g.n == 0:
-        return ()
+    """Largest greedy maximal clique grown from one of the 8 highest-degree
+    vertices; () on the empty graph."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best: tuple[int, ...] = (order[0],)
-    for start in order[: min(g.n, 8)]:
+    best: tuple[int, ...] = ()
+    for start in order[:8]:
         clique = [start]
         common = g.masks[start]
         while common:
@@ -209,21 +211,19 @@ def chromatic_number(g: Graph) -> ChromaticResult:
     """Exact chromatic number with optimal witness, proved by k-colorability search.
 
     Raises TooLargeError if g has more than MAX_VERTICES vertices. The result
-    is cached per graph, however the call is spelled. The empty graph gets
-    chi = 0 with an empty witness.
+    is cached per graph, however the call is spelled. Every graph takes one
+    path: k runs from the clique or odd-cycle lower bound (at least 2) up to
+    the DSATUR palette, and DSATUR's coloring stands if no smaller k is
+    colorable. So the empty graph gets chi = 0 with an empty witness, an
+    edgeless graph chi = 1 with every color 1; neither has a certificate.
     """
     if g.n > MAX_VERTICES:
         raise TooLargeError(f"{g.n} vertices is too large for exact search (cap {MAX_VERTICES})")
     return _chromatic_number(g)
 
 
-@functools.lru_cache(maxsize=200_000)
+@functools.lru_cache(maxsize=1_024)
 def _chromatic_number(g: Graph) -> ChromaticResult:
-    if g.n == 0:
-        return ChromaticResult(0, Coloring(()))
-    if g.edge_count == 0:
-        return ChromaticResult(1, Coloring((1,) * g.n))
-
     upper = dsatur_coloring(g)
     clique = _greedy_clique(g)
     lb = max(2, len(clique))
@@ -233,9 +233,6 @@ def _chromatic_number(g: Graph) -> ChromaticResult:
         if cycle is not None:
             lb = 3
             certificate = ("odd_cycle", cycle)
-    if upper.palette_size == lb:
-        return ChromaticResult(lb, upper, certificate)
-
     for k in range(lb, upper.palette_size):
         witness = _k_colorable(g, k)
         if witness is not None:

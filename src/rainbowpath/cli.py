@@ -149,7 +149,7 @@ def _cmd_bounds(args) -> int:
     if args.chi is not None:
         s = guaranteed_length(args.chi)
         print(f"chi = {args.chi}: guaranteed induced rainbow path order s = {s}")
-    rows = [compute_bounds(s) for s in range(3, args.s + 1)] if args.s >= 3 else []
+    rows = [compute_bounds(s) for s in range(3, args.s + 1)]
     if rows:
         print(f"{'s':>3} {'r':>24} {'c':>40}")
         for b in rows:

@@ -259,11 +259,11 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
     class_vertices = classes[j]
     class_mask = sum(1 << v for v in class_vertices)
-    orientation = _color_orientation(g.masks, cg.classes, class_mask)
-    arcs = sorted((u, w) for w, ins in orientation for u in _bits(ins))
+    order, ins = _color_orientation(g.masks, cg.classes, class_mask)
+    arcs = sorted((u, w) for w in order for u in _bits(ins[w]))
 
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
-    earlier: dict[int, int] = {}  # vertex -> mask of the class vertices before it in pi_order
+    earlier = [0] * g.n  # earlier[v]: mask of the class vertices before v in pi_order
     seen = 0
     for v in pi_order:
         earlier[v] = seen
@@ -271,8 +271,8 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     forward_arcs = [(u, w) for u, w in arcs if earlier[w] >> u & 1]
     backward_arcs = [(u, w) for u, w in arcs if not earlier[w] >> u & 1]
 
-    forward_path = _longest_directed_path([(w, ins & earlier[w]) for w, ins in orientation])
-    backward_path = _longest_directed_path([(w, ins & ~earlier[w]) for w, ins in orientation])
+    forward_path = _longest_directed_path(order, [i & e for i, e in zip(ins, earlier)])
+    backward_path = _longest_directed_path(order, [i & ~e for i, e in zip(ins, earlier)])
 
     bfs_attempts: list[BfsAttempt] = []
 
@@ -298,9 +298,6 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     # with them, so every class arc inside that set is one of the side's
     # arcs: in the class, out-neighbors step to later parts on the forward
     # side and in-neighbors do on the backward side.
-    ins = [0] * g.n
-    for w, mask in orientation:
-        ins[w] = mask
     outs = [mask & class_mask & ~i for mask, i in zip(g.masks, ins)]
     sides = [
         ("forward", forward_path, True, sum(1 << v for v in forward_path), outs, ins),

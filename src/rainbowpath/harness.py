@@ -97,7 +97,7 @@ def _sample_colorings(g: Graph, max_colors: int, count: int, rng: random.Random,
     """Best-effort random proper colorings beyond the enumeration cap."""
     out: list[Coloring] = []
     attempts = 0
-    while len(out) < count and attempts < 20 * max(count, 1):
+    while len(out) < count and attempts < 20 * count:
         attempts += 1
         order = list(range(g.n))
         rng.shuffle(order)

@@ -95,7 +95,9 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     than limit vertices (n, or the number of colors), so the search stops at
     the first path of limit vertices: later paths can only tie it, and ties
     never replace the best, so the result is the one the full search
-    returns, reported exact.
+    returns, reported exact. The first best, [0], needs no such test: at
+    limit 1 no vertex has a neighbor (a one-color proper coloring has no
+    edges, and neither has a one-vertex graph), so no extension is tried.
 
     An extension is rejected when its path plus every open vertex, one
     outside its closed set, still has no more vertices than the best. The
@@ -107,8 +109,6 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     """
     best = [0]
     nodes = 0
-    if limit == 1:
-        return best, nodes, False
     for start in range(n):
         path = [start]
         closed = [block[start]]
@@ -254,46 +254,49 @@ def max_colorful_induced_path_from(
 
 
 def _color_orientation(masks: tuple[int, ...], classes: dict[int, int],
-                       subset: int) -> list[tuple[int, int]]:
+                       subset: int) -> tuple[list[int], list[int]]:
     """The color orientation of the subgraph induced by the vertex bitmask
     subset: each edge points at its larger color.
 
     classes is a proper coloring's class table (ColoredGraph.classes), so
-    every edge gets a strict direction. Returns each vertex with the mask of
-    its in-neighbors, in (color, id) order, which is topological.
+    every edge gets a strict direction. Returns (order, ins): order holds
+    the subset's vertices in (color, id) order, which is topological, and
+    ins[v] is the mask of v's in-neighbors, 0 outside the subset.
     """
     below = 0
-    out = []
+    order: list[int] = []
+    ins = [0] * len(masks)
     for c in sorted(classes):
         members = classes[c] & subset
         for v in _bits(members):
-            out.append((v, masks[v] & below))
+            order.append(v)
+            ins[v] = masks[v] & below
         below |= members
-    return out
+    return order, ins
 
 
-def _longest_directed_path(orientation: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Longest directed path of a non-empty acyclic orientation, given as
-    (vertex, in-neighbor mask) pairs in a topological order.
+def _longest_directed_path(order: list[int], ins: list[int]) -> tuple[int, ...]:
+    """Longest directed path of an acyclic orientation, given as a non-empty
+    topological order of its vertices and each vertex's in-neighbor mask.
 
     Each vertex extends the smallest-id longest path into it, and of the
     longest paths the one ending at the smallest id wins. The path is walked
-    back once from the final levels: a vertex's in-neighbors precede it in
-    the topological order, so no vertex that joins a level after it is one
-    of them, and the final levels give the predecessor it had when placed.
+    back once on ins from the final levels: a vertex's in-neighbors precede
+    it in the topological order, so no vertex that joins a level after it is
+    one of them, and the final levels give the predecessor it had when placed.
     """
     levels: list[int] = []  # levels[i]: vertices ending a longest path of i + 1
-    for v, ins in orientation:
+    for v in order:
+        into = ins[v]
         i = len(levels)
-        while i and not ins & levels[i - 1]:
+        while i and not into & levels[i - 1]:
             i -= 1
         if i == len(levels):
             levels.append(0)
         levels[i] |= 1 << v
-    ins_of = dict(orientation)
     rev = [_lowest(levels[-1])]
     for level in reversed(levels[:-1]):
-        rev.append(_lowest(ins_of[rev[-1]] & level))
+        rev.append(_lowest(ins[rev[-1]] & level))
     return tuple(reversed(rev))
 
 
@@ -306,5 +309,4 @@ def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
     g = cg.graph
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
-    orientation = _color_orientation(g.masks, cg.classes, (1 << g.n) - 1)
-    return Path(_longest_directed_path(orientation))
+    return Path(_longest_directed_path(*_color_orientation(g.masks, cg.classes, (1 << g.n) - 1)))

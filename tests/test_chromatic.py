@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowpath import (
+    Coloring,
     GraphError,
     build_graph,
     canonical_form,
@@ -88,10 +89,27 @@ class TestChromaticNumber:
         assert chromatic_number(grotzsch).chi == 4
 
     def test_edgeless(self):
-        assert chromatic_number(build_graph(6, [])).chi == 1
+        # DSATUR colors every vertex 1, the clique is one vertex (no
+        # certificate), and the k loop from 2 up to palette 1 is empty
+        for n in range(1, 7):
+            result = chromatic_number(build_graph(n, []))
+            assert result.chi == 1
+            assert result.witness == Coloring((1,) * n)
+            assert result.lower_bound_certificate is None
 
     def test_empty_graph(self):
-        assert chromatic_number(build_graph(0, [])).chi == 0
+        # DSATUR colors nothing, the clique is empty and there is no odd cycle
+        result = chromatic_number(build_graph(0, []))
+        assert result.chi == 0
+        assert result.witness == Coloring(()) and result.lower_bound_certificate is None
+
+    def test_dsatur_optimal_keeps_dsatur_witness(self):
+        # DSATUR is optimal on every graph on five vertices: the k loop finds
+        # nothing smaller, so the witness is DSATUR's own coloring
+        for g in every_graph(5):
+            upper = dsatur_coloring(g)
+            result = chromatic_number(g)
+            assert (result.chi, result.witness) == (upper.palette_size, upper)
 
     def test_cap(self):
         with pytest.raises(TooLargeError):

@@ -75,7 +75,9 @@ class TestLongestInducedPath:
             longest_induced_path(build_graph(0, []))
 
     def test_single_vertex(self):
-        assert longest_induced_path(build_graph(1, [])).path.order == 1
+        # limit is 1 and vertex 0 has no neighbor: the loop tries no extension
+        result = longest_induced_path(build_graph(1, []))
+        assert result.path.vertices == (0,) and result.exact and result.nodes == 0
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
@@ -196,8 +198,11 @@ class TestRainbowPaletteExit:
         assert not short.exact and short.path.order < len(path)
 
     def test_one_color_costs_no_nodes(self):
-        for g in (build_graph(1, []), build_graph(3, [])):
-            result = longest_induced_rainbow_path(ColoredGraph(g, Coloring((1,) * g.n)))
+        # the one-color coloring is proper only without edges, so no start
+        # has a candidate and the loop returns (0,) unspent
+        for n in range(1, 7):
+            cg = ColoredGraph(build_graph(n, []), Coloring((1,) * n))
+            result = longest_induced_rainbow_path(cg)
             assert result.path.vertices == (0,) and result.exact and result.nodes == 0
 
 
@@ -275,10 +280,30 @@ class TestGallaiRoy:
 
     def test_orientation_points_at_larger_color(self, c5_colored):
         g = c5_colored.graph
-        orientation = _color_orientation(g.masks, c5_colored.classes, (1 << g.n) - 1)
-        arcs = [(u, v) for v, ins in orientation for u in _bits(ins)]
+        order, ins = _color_orientation(g.masks, c5_colored.classes, (1 << g.n) - 1)
+        assert sorted(order) == list(range(g.n))
+        arcs = [(u, v) for v in order for u in _bits(ins[v])]
         assert all(c5_colored.color_of(u) < c5_colored.color_of(v) for u, v in arcs)
         assert len(arcs) == g.edge_count
+
+    def test_orientation_of_a_vertex_subset(self):
+        # order is the subset in (color, id) order, every in-neighbor of v
+        # precedes v in it, and ins is 0 outside the subset
+        for seed in range(20):
+            rng = random.Random(seed)
+            g = random_triangle_free(10, 0.4, seed=seed)
+            cg = ColoredGraph(g, random_proper_coloring(g, rng))
+            subset = rng.getrandbits(g.n) & ((1 << g.n) - 2)  # never all of V
+            order, ins = _color_orientation(g.masks, cg.classes, subset)
+            assert order == sorted(_bits(subset), key=lambda v: (cg.color_of(v), v))
+            position = {v: i for i, v in enumerate(order)}
+            for v in range(g.n):
+                if not subset >> v & 1:
+                    assert ins[v] == 0
+                    continue
+                assert ins[v] == sum(1 << u for u in _bits(g.masks[v] & subset)
+                                     if cg.color_of(u) < cg.color_of(v))
+                assert all(position[u] < position[v] for u in _bits(ins[v]))
 
     @given(colored_graphs())
     @settings(max_examples=80, deadline=None)
