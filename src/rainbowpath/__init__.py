@@ -59,6 +59,7 @@ from .harness import (
 )
 from .oracle import (
     BudgetExceededError,
+    GallaiRoyPath,
     SearchBudget,
     SearchResult,
     gallai_roy_rainbow_path,

@@ -1,5 +1,12 @@
 """Exact brute-force searches that define ground truth for every constructive
-guarantee, plus the Gallai-Roy orientation construction.
+guarantee, plus the longest paths of color orientations.
+
+The longest directed path DP of an orientation places one vertex at a time
+(_longest_directed_path, which the graded procedure runs on its split
+orientations). The Gallai-Roy probe runs the same DP on the whole graph's
+color orientation one color class at a time, on adjacency masks alone: its
+order is the number of levels, and its vertices, the path the vertex-level
+DP gives, are walked back only when read.
 
 The induced-path searches run depth-first over extendable induced paths with
 bitset pruning over int adjacency masks (Python ints are unbounded bitsets,
@@ -24,7 +31,9 @@ silently returned. Their results, node counts included, follow one contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _lowest
 
@@ -275,6 +284,19 @@ def _color_orientation(masks: tuple[int, ...], classes: dict[int, int],
     return order, ins
 
 
+def _walk_back(levels: Sequence[int], into: Sequence[int]) -> tuple[int, ...]:
+    """The longest path of a level DP, walked back from the smallest-id end.
+
+    levels[i] holds the vertices that end a longest path of i + 1 vertices,
+    and into[v] must meet levels[i - 1] in exactly v's predecessors there for
+    every v in levels[i]. Each step back takes the smallest-id one.
+    """
+    rev = [_lowest(levels[-1])]
+    for level in reversed(levels[:-1]):
+        rev.append(_lowest(into[rev[-1]] & level))
+    return tuple(reversed(rev))
+
+
 def _longest_directed_path(order: list[int], ins: list[int]) -> tuple[int, ...]:
     """Longest directed path of an acyclic orientation, given as a non-empty
     topological order of its vertices and each vertex's in-neighbor mask.
@@ -294,14 +316,70 @@ def _longest_directed_path(order: list[int], ins: list[int]) -> tuple[int, ...]:
         if i == len(levels):
             levels.append(0)
         levels[i] |= 1 << v
-    rev = [_lowest(levels[-1])]
-    for level in reversed(levels[:-1]):
-        rev.append(_lowest(ins[rev[-1]] & level))
-    return tuple(reversed(rev))
+    return _walk_back(levels, ins)
 
 
-def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
-    """Longest directed path of the color orientation.
+def _gallai_roy_levels(masks: tuple[int, ...], classes: dict[int, int]) -> list[int]:
+    """The levels of _longest_directed_path on the color orientation of the
+    whole graph, computed one color class at a time.
+
+    Classes are independent sets, so a class's vertices have no arcs among
+    themselves and every arc into them comes from a class already placed.
+    Taking the levels top down, the vertices of the class left unplaced that
+    are adjacent to level i - 1 go to level i; what is left goes to level 0.
+    reach[i] is the union of the neighbor masks of level i.
+    """
+    levels: list[int] = []
+    reach: list[int] = []
+    for c in sorted(classes):
+        rest = classes[c]
+        for i in range(len(levels), -1, -1):
+            at = rest & reach[i - 1] if i else rest
+            if not at:
+                continue
+            rest ^= at
+            if i == len(levels):
+                levels.append(0)
+                reach.append(0)
+            levels[i] |= at
+            out = reach[i]
+            while at:
+                low = at & -at
+                out |= masks[low.bit_length() - 1]
+                at ^= low
+            reach[i] = out
+            if not rest:
+                break
+    return levels
+
+
+@dataclass(frozen=True)
+class GallaiRoyPath:
+    """The Gallai-Roy path of a coloring, given by its levels: order is the
+    number of levels, and the vertices are walked back on the graph's
+    adjacency masks on first read.
+
+    A neighbor of v one level below it has the smaller color, since a larger
+    one would put it above v, so the walk back on the adjacency masks takes
+    the predecessors that _longest_directed_path takes on the in-neighbor
+    masks, and gives the same vertices.
+    """
+
+    levels: tuple[int, ...]
+    masks: tuple[int, ...] = field(repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.levels)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return _walk_back(self.levels, self.masks)
+
+
+def gallai_roy_rainbow_path(cg: ColoredGraph) -> GallaiRoyPath:
+    """Longest directed path of the color orientation, the smallest-id one
+    in the sense of _longest_directed_path.
 
     Colors strictly increase along the path, so it is rainbow; by the
     Gallai-Roy theorem its order is at least the chromatic number.
@@ -309,4 +387,4 @@ def gallai_roy_rainbow_path(cg: ColoredGraph) -> Path:
     g = cg.graph
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
-    return Path(_longest_directed_path(*_color_orientation(g.masks, cg.classes, (1 << g.n) - 1)))
+    return GallaiRoyPath(tuple(_gallai_roy_levels(g.masks, cg.classes)), g.masks)

@@ -111,6 +111,22 @@ class TestChromaticNumber:
             result = chromatic_number(g)
             assert (result.chi, result.witness) == (upper.palette_size, upper)
 
+    @pytest.mark.parametrize("edges, certificate", [
+        ([(0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)],
+         "clique"),
+        ([(0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (2, 8), (4, 5),
+          (4, 7), (5, 8), (6, 7), (6, 8)], "odd_cycle"),
+    ], ids=["clique", "odd_cycle"])
+    def test_chi_at_the_lower_bound_below_dsatur(self, edges, certificate):
+        # frozen from a seeded random search: DSATUR needs 4 colors and chi
+        # is 3, the clique bound (n = 7) or, triangle-free, the odd-cycle
+        # bound (n = 9), so the search must try k = lb itself
+        g = build_graph(max(max(e) for e in edges) + 1, edges)
+        assert dsatur_coloring(g).palette_size == 4
+        result = chromatic_number(g)
+        assert result.chi == 3 and result.lower_bound_certificate[0] == certificate
+        assert is_proper(g, result.witness) and result.witness.palette_size == 3
+
     def test_cap(self):
         with pytest.raises(TooLargeError):
             chromatic_number(build_graph(70, []))

@@ -257,7 +257,7 @@ def outcome_record(outcome):
 class TestFrozenProcedure:
     """rainbow_or_witness outcomes and traces (arcs, forward and backward arcs
     and paths, BFS attempts), frozen before the forward and backward paths
-    came from the DP that gallai_roy_rainbow_path uses.
+    came from the longest-path DP that gallai_roy_rainbow_path then used.
 
     Inputs: procedure_case(seed) for seeds 0-59, and every seed in 60-1999
     whose outcome extracts a chain on the backward side or returns a witness

@@ -148,6 +148,19 @@ class TestCheckGraph:
         monkeypatch.setattr(rainbowpath.colorful, "ColorfulStep", refuse)
         assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
 
+    @pytest.mark.parametrize("thorough", [False, True])
+    def test_sweep_walks_back_no_gallai_roy_path(self, monkeypatch, c5, grotzsch, thorough):
+        # records read only the Gallai-Roy order, the number of levels, so
+        # the sweep never walks a path back and its reports do not depend on it
+        cfg = HarnessConfig(coloring_cap=50, thorough=thorough)
+        expected = [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep walked back a Gallai-Roy path")
+
+        monkeypatch.setattr(rainbowpath.oracle, "_walk_back", refuse)
+        assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
+
     def test_digest_canonicalizes_nothing(self, monkeypatch, grotzsch):
         # iter_colorings emits canonical forms, so without samples the sweep
         # hashes every coloring as given

@@ -31,7 +31,7 @@ from rainbowpath import (
     random_triangle_free,
 )
 from rainbowpath.graphs import _bits
-from rainbowpath.oracle import _color_orientation
+from rainbowpath.oracle import _color_orientation, _longest_directed_path
 from helpers import (
     every_graph,
     naive_longest_induced_path_order,
@@ -49,6 +49,14 @@ def colored_graphs(draw, max_n=8):
     g = draw(graphs(max_n=max_n))
     coloring = dsatur_coloring(g)
     return ColoredGraph(g, coloring)
+
+
+@st.composite
+def sparse_colored_graphs(draw, max_n=10):
+    """Graphs under helpers.random_proper_coloring: sparse color ids, some
+    above 64, and often more colors than chi, so longest paths tie."""
+    g = draw(graphs(max_n=max_n))
+    return ColoredGraph(g, random_proper_coloring(g, random.Random(draw(st.integers(0, 2**32 - 1)))))
 
 
 class TestLongestInducedPath:
@@ -305,6 +313,17 @@ class TestGallaiRoy:
                                      if cg.color_of(u) < cg.color_of(v))
                 assert all(position[u] < position[v] for u in _bits(ins[v]))
 
+    @given(sparse_colored_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_class_levels_match_the_vertex_dp(self, cg):
+        # the class-at-a-time levels give the order and, walked back on the
+        # adjacency masks, the path of the vertex-level DP on the in-neighbor masks
+        g = cg.graph
+        reference = _longest_directed_path(*_color_orientation(g.masks, cg.classes, (1 << g.n) - 1))
+        path = gallai_roy_rainbow_path(cg)
+        assert path.order == len(reference)
+        assert path.vertices == reference
+
     @given(colored_graphs())
     @settings(max_examples=80, deadline=None)
     def test_strictly_increasing_and_at_least_chi(self, cg):
@@ -317,8 +336,10 @@ class TestGallaiRoy:
 
 
 class TestFrozenGallaiRoy:
-    """Vertices of gallai_roy_rainbow_path, frozen before it shared one
-    longest-path DP with the graded procedure's forward and backward paths.
+    """Vertices of gallai_roy_rainbow_path, frozen when it ran the graded
+    procedure's vertex-level longest-path DP and still its tie-breaks: the
+    levels are now built one color class at a time and the path is walked
+    back on the adjacency masks, by the walk-back the DP shares.
 
     Inputs: the mycielski-sweep benchmark graphs (K2 and its first three
     Mycielski iterates) under their first 1000 canonical optimal colorings,
