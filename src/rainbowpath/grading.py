@@ -10,12 +10,17 @@ either some path vertex has enough later neighbors of distinct colors (a
 witness) or a breadth-first tree inside the path's vertex set is deep
 enough to surface an induced rainbow path of the target order.
 
-The witness scan and the probe stay inside one longest path's vertex set,
-where every arc of the class belongs to that path's side, so they read the
-color orientation's per-vertex in- and out-neighbor bitmasks directly; the
-forward and backward arc lists exist only for the trace. The probe is the
-shared breadth-first search graphs._layers inside the path's vertex set,
-and the witness takes the smallest s arc-neighbors.
+The forward and backward longest paths come from the oracle's level DP,
+_color_levels, run on the class's color classes with each vertex's
+neighbors split by grading order into forward and backward steps, and are
+walked back by graphs._walk_back on the orientation's in-neighbor masks,
+split the same way. The witness scan and the probe stay inside one longest
+path's vertex set, where every arc of the class belongs to that path's
+side, so they read the color orientation's per-vertex in- and out-neighbor
+bitmasks directly; the forward and backward arc lists exist only for the
+trace. The probe is the shared breadth-first search graphs._layers inside
+the path's vertex set, its chain the same walk back, and the witness takes
+the smallest s arc-neighbors.
 
 Every returned path or witness is re-verified against the original colored
 graph before being reported, and a procedure run always carries a full
@@ -29,9 +34,9 @@ from enum import Enum
 from functools import cached_property
 
 from .chromatic import chromatic_number
-from .graphs import (ColoredGraph, Graph, GraphError, Path, _bits, _layers, _lowest, classify_path,
+from .graphs import (ColoredGraph, Graph, GraphError, Path, _bits, _layers, _walk_back, classify_path,
                      induced_subgraph)
-from .oracle import SearchBudget, _color_orientation, _longest_directed_path, longest_induced_path
+from .oracle import SearchBudget, _color_levels, _color_orientation, longest_induced_path
 
 
 class GradingError(GraphError):
@@ -259,8 +264,8 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     j = max(range(len(class_chis)), key=lambda i: (class_chis[i], -i))
     class_vertices = classes[j]
     class_mask = sum(1 << v for v in class_vertices)
-    order, ins = _color_orientation(g.masks, cg.classes, class_mask)
-    arcs = sorted((u, w) for w in order for u in _bits(ins[w]))
+    ins = _color_orientation(g.masks, cg.classes, class_mask)
+    arcs = sorted((u, w) for w in class_vertices for u in _bits(ins[w]))
 
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
     earlier = [0] * g.n  # earlier[v]: mask of the class vertices before v in pi_order
@@ -271,8 +276,13 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     forward_arcs = [(u, w) for u, w in arcs if earlier[w] >> u & 1]
     backward_arcs = [(u, w) for u, w in arcs if not earlier[w] >> u & 1]
 
-    forward_path = _longest_directed_path(order, [i & e for i, e in zip(ins, earlier)])
-    backward_path = _longest_directed_path(order, [i & ~e for i, e in zip(ins, earlier)])
+    # the class's color classes; a forward arc steps to a later part, a
+    # backward one to an earlier part
+    by_color = {c: m & class_mask for c, m in cg.classes.items()}
+    forward_path = _walk_back(_color_levels([m & ~e for m, e in zip(g.masks, earlier)], by_color),
+                              [i & e for i, e in zip(ins, earlier)])
+    backward_path = _walk_back(_color_levels([m & e for m, e in zip(g.masks, earlier)], by_color),
+                               [i & ~e for i, e in zip(ins, earlier)])
 
     bfs_attempts: list[BfsAttempt] = []
 
@@ -321,10 +331,8 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         # the tie-breaks of a BFS expanding each layer in ascending id: the tip
         # is the smallest id at depth s-1, a vertex's parent its smallest
         # predecessor in the layer before
-        chain = [_lowest(layers[s - 1])]
-        for layer in reversed(layers[:s - 1]):
-            chain.append(_lowest(back[chain[-1]] & layer))
-        extracted = tuple(reversed(chain)) if outgoing else tuple(chain)
+        chain = _walk_back(layers[:s], back)
+        extracted = chain if outgoing else chain[::-1]
         candidate = Path(extracted)
         ok = verify_rainbow_outcome(cg, candidate, s)
         if ok:

@@ -4,6 +4,11 @@ Vertices are dense integers 0..n-1 and adjacency is kept as one Python-int
 bitmask per vertex, which makes the exact searches cheap and every tie-break
 reproducible (always smallest vertex id first). All types are immutable and
 hashable after construction.
+
+There is one breadth-first search, _layers, and one walk back through
+levels, _walk_back, which reads a path off the layers of a breadth-first
+search or the levels of a longest-path DP, always stepping to the
+smallest-id predecessor.
 """
 
 from __future__ import annotations
@@ -237,6 +242,21 @@ def _layers(masks: Sequence[int], subset: int, frontier: int) -> Iterator[int]:
         seen |= frontier
 
 
+def _walk_back(levels: Sequence[int], into: Sequence[int]) -> tuple[int, ...]:
+    """The path through levels[0], levels[1], ... that ends at the smallest id
+    of the last level, each vertex v preceded by the smallest id of
+    into[v] & levels[i - 1].
+
+    Every tie-break of a longest or shortest path is this walk: levels are
+    the levels of a longest-path DP or the layers of a breadth-first search,
+    and into[v] must meet the level before v's in v's possible predecessors.
+    """
+    rev = [_lowest(levels[-1])]
+    for level in reversed(levels[:-1]):
+        rev.append(_lowest(into[rev[-1]] & level))
+    return tuple(reversed(rev))
+
+
 def _mask_components(masks: tuple[int, ...], subset: int) -> list[int]:
     """Component bitmasks of the subgraph induced by subset, by ascending minimum id."""
     parts = []
@@ -264,10 +284,8 @@ def _mask_shortest_path(masks: tuple[int, ...], subset: int, source: int,
             break
     else:
         raise GraphError("no target vertex is reachable from the source")
-    path = [min(_bits(layers[-1] & targets), key=lambda t: (_lowest(masks[t] & layers[-2]), t))]
-    for layer in reversed(layers[1:-1]):
-        path.append(_lowest(masks[path[-1]] & layer))
-    return tuple(reversed(path))
+    tip = min(_bits(layers[-1] & targets), key=lambda t: (_lowest(masks[t] & layers[-2]), t))
+    return _walk_back(layers[1:-1] + [1 << tip], masks)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

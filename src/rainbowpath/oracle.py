@@ -1,12 +1,14 @@
 """Exact brute-force searches that define ground truth for every constructive
-guarantee, plus the longest paths of color orientations.
+guarantee, plus the longest directed paths of color orientations.
 
-The longest directed path DP of an orientation places one vertex at a time
-(_longest_directed_path, which the graded procedure runs on its split
-orientations). The Gallai-Roy probe runs the same DP on the whole graph's
-color orientation one color class at a time, on adjacency masks alone: its
-order is the number of levels, and its vertices, the path the vertex-level
-DP gives, are walked back only when read.
+A color orientation points each edge at its larger color. One DP,
+_color_levels, gives the levels of its longest directed paths, one color
+class at a time: the Gallai-Roy probe runs it on the whole graph with the
+adjacency masks as steps, and the graded procedure on one refined class,
+with the steps split by grading order into forward and backward ones. A
+path is read off its levels by graphs._walk_back; the Gallai-Roy path's
+order is its number of levels, and its vertices are walked back only when
+read.
 
 The induced-path searches run depth-first over extendable induced paths with
 bitset pruning over int adjacency masks (Python ints are unbounded bitsets,
@@ -35,7 +37,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _lowest
+from .graphs import ColoredGraph, Graph, GraphError, Path, _bits, _walk_back
 
 
 class BudgetExceededError(GraphError):
@@ -263,71 +265,35 @@ def max_colorful_induced_path_from(
 
 
 def _color_orientation(masks: tuple[int, ...], classes: dict[int, int],
-                       subset: int) -> tuple[list[int], list[int]]:
+                       subset: int) -> list[int]:
     """The color orientation of the subgraph induced by the vertex bitmask
-    subset: each edge points at its larger color.
+    subset, each edge pointing at its larger color, as the mask of each
+    vertex's in-neighbors, 0 outside the subset.
 
     classes is a proper coloring's class table (ColoredGraph.classes), so
-    every edge gets a strict direction. Returns (order, ins): order holds
-    the subset's vertices in (color, id) order, which is topological, and
-    ins[v] is the mask of v's in-neighbors, 0 outside the subset.
+    every edge gets a strict direction.
     """
     below = 0
-    order: list[int] = []
     ins = [0] * len(masks)
     for c in sorted(classes):
         members = classes[c] & subset
         for v in _bits(members):
-            order.append(v)
             ins[v] = masks[v] & below
         below |= members
-    return order, ins
+    return ins
 
 
-def _walk_back(levels: Sequence[int], into: Sequence[int]) -> tuple[int, ...]:
-    """The longest path of a level DP, walked back from the smallest-id end.
+def _color_levels(step: Sequence[int], classes: dict[int, int]) -> list[int]:
+    """Levels of the longest directed paths of the orientation with an arc
+    u -> w whenever w is in step[u] and u's color is smaller than w's:
+    levels[i] holds the vertices that end a longest path of i + 1 vertices.
 
-    levels[i] holds the vertices that end a longest path of i + 1 vertices,
-    and into[v] must meet levels[i - 1] in exactly v's predecessors there for
-    every v in levels[i]. Each step back takes the smallest-id one.
-    """
-    rev = [_lowest(levels[-1])]
-    for level in reversed(levels[:-1]):
-        rev.append(_lowest(into[rev[-1]] & level))
-    return tuple(reversed(rev))
-
-
-def _longest_directed_path(order: list[int], ins: list[int]) -> tuple[int, ...]:
-    """Longest directed path of an acyclic orientation, given as a non-empty
-    topological order of its vertices and each vertex's in-neighbor mask.
-
-    Each vertex extends the smallest-id longest path into it, and of the
-    longest paths the one ending at the smallest id wins. The path is walked
-    back once on ins from the final levels: a vertex's in-neighbors precede
-    it in the topological order, so no vertex that joins a level after it is
-    one of them, and the final levels give the predecessor it had when placed.
-    """
-    levels: list[int] = []  # levels[i]: vertices ending a longest path of i + 1
-    for v in order:
-        into = ins[v]
-        i = len(levels)
-        while i and not into & levels[i - 1]:
-            i -= 1
-        if i == len(levels):
-            levels.append(0)
-        levels[i] |= 1 << v
-    return _walk_back(levels, ins)
-
-
-def _gallai_roy_levels(masks: tuple[int, ...], classes: dict[int, int]) -> list[int]:
-    """The levels of _longest_directed_path on the color orientation of the
-    whole graph, computed one color class at a time.
-
-    Classes are independent sets, so a class's vertices have no arcs among
-    themselves and every arc into them comes from a class already placed.
-    Taking the levels top down, the vertices of the class left unplaced that
-    are adjacent to level i - 1 go to level i; what is left goes to level 0.
-    reach[i] is the union of the neighbor masks of level i.
+    The classes are placed in color order. A class has no arcs among its own
+    vertices, so every arc into it comes from a class already placed. Taking
+    the levels top down, the vertices of the class left unplaced that a step
+    from level i - 1 reaches go to level i; what is left goes to level 0.
+    reach[i] is the union of the steps of level i. Only class vertices are
+    placed, so a step may hold other vertices too.
     """
     levels: list[int] = []
     reach: list[int] = []
@@ -345,7 +311,7 @@ def _gallai_roy_levels(masks: tuple[int, ...], classes: dict[int, int]) -> list[
             out = reach[i]
             while at:
                 low = at & -at
-                out |= masks[low.bit_length() - 1]
+                out |= step[low.bit_length() - 1]
                 at ^= low
             reach[i] = out
             if not rest:
@@ -360,9 +326,8 @@ class GallaiRoyPath:
     adjacency masks on first read.
 
     A neighbor of v one level below it has the smaller color, since a larger
-    one would put it above v, so the walk back on the adjacency masks takes
-    the predecessors that _longest_directed_path takes on the in-neighbor
-    masks, and gives the same vertices.
+    one would put it above v, so the adjacency masks meet that level in v's
+    in-neighbors there, as graphs._walk_back needs.
     """
 
     levels: tuple[int, ...]
@@ -378,8 +343,8 @@ class GallaiRoyPath:
 
 
 def gallai_roy_rainbow_path(cg: ColoredGraph) -> GallaiRoyPath:
-    """Longest directed path of the color orientation, the smallest-id one
-    in the sense of _longest_directed_path.
+    """Longest directed path of the color orientation, the one that
+    graphs._walk_back reads off the levels of _color_levels.
 
     Colors strictly increase along the path, so it is rainbow; by the
     Gallai-Roy theorem its order is at least the chromatic number.
@@ -387,4 +352,4 @@ def gallai_roy_rainbow_path(cg: ColoredGraph) -> GallaiRoyPath:
     g = cg.graph
     if g.n == 0:
         raise GraphError("no path of order >= 1 exists in the empty graph")
-    return GallaiRoyPath(tuple(_gallai_roy_levels(g.masks, cg.classes)), g.masks)
+    return GallaiRoyPath(tuple(_color_levels(g.masks, cg.classes)), g.masks)

@@ -152,6 +152,28 @@ def naive_shortest_path_to_set(g: Graph, source: int, targets: set[int]) -> tupl
     return None
 
 
+def naive_longest_directed_path(order: list[int], ins: list[int]) -> tuple[int, ...]:
+    """Longest directed path of an acyclic orientation, given as a topological
+    order of its vertices and each vertex's in-neighbor mask.
+
+    Vertex by vertex, each vertex's path length is one more than its
+    longest in-neighbor's. Of the longest paths, the one returned ends at
+    the smallest id and steps back each time to the smallest-id in-neighbor
+    one vertex shorter."""
+    def preds(v):
+        return [u for u in range(ins[v].bit_length()) if ins[v] >> u & 1]
+
+    length: dict[int, int] = {}
+    for v in order:
+        length[v] = 1 + max((length[u] for u in preds(v)), default=0)
+    v = min(order, key=lambda v: (-length[v], v))
+    path = [v]
+    while length[v] > 1:
+        v = min(u for u in preds(v) if length[u] == length[v] - 1)
+        path.append(v)
+    return tuple(reversed(path))
+
+
 def naive_chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0

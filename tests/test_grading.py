@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowpath import (
     ColoredGraph,
@@ -27,7 +29,8 @@ from rainbowpath import (
 )
 from rainbowpath.grading import GradingError, verify_witness_outcome
 
-from helpers import random_proper_coloring
+from helpers import naive_longest_directed_path, random_proper_coloring
+from test_graphs import graphs
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,6 +209,25 @@ class TestTraceInvariants:
             assert report.is_induced and report.is_rainbow and report.order == s
         elif outcome.kind is OutcomeKind.WITNESS:
             assert verify_witness_outcome(cg, grading, outcome.witness, s)
+
+    @given(graphs(max_n=10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_paths_are_the_vertex_dp_paths(self, g, seed):
+        # the forward and backward paths are those of the vertex-level DP on
+        # the class's color orientation, its in-neighbor masks split by
+        # grading order
+        rng = random.Random(seed)
+        cg = ColoredGraph(g, random_proper_coloring(g, rng))
+        grading = random_grading(g, rng)
+        tr = rainbow_or_witness(cg, grading, rng.choice((3, 4, 5))).trace
+        order = sorted(tr.class_vertices, key=lambda v: (cg.color_of(v), v))
+        ins = [sum(1 << u for u in tr.class_vertices
+                   if g.has_edge(u, v) and cg.color_of(u) < cg.color_of(v)) for v in range(g.n)]
+        earlier = {v: set(tr.pi_order[:i]) for i, v in enumerate(tr.pi_order)}
+        forward = [sum(1 << u for u in earlier.get(v, ()) if m >> u & 1) for v, m in enumerate(ins)]
+        backward = [m & ~f for m, f in zip(ins, forward)]
+        assert tr.forward_path == naive_longest_directed_path(order, forward)
+        assert tr.backward_path == naive_longest_directed_path(order, backward)
 
     def test_chosen_class_maximizes_chi(self, c5, c5_colored):
         outcome = rainbow_or_witness(c5_colored, singleton_grading(c5), 3)

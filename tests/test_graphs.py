@@ -16,7 +16,7 @@ from rainbowpath import (
     is_proper,
     is_triangle_free,
 )
-from rainbowpath.graphs import _bits, _is_induced, _mask_components, _mask_shortest_path
+from rainbowpath.graphs import _bits, _is_induced, _mask_components, _mask_shortest_path, _walk_back
 from helpers import (
     naive_is_proper,
     naive_shortest_path_to_set,
@@ -178,6 +178,28 @@ class TestClassifyPath:
             classify_path(c5_colored, (0, 2))
         with pytest.raises(GraphError):
             classify_path(c5_colored, (0, 1, 0))
+
+
+class TestWalkBack:
+    # levels {0, 1}, {2, 3}, {4, 5}; 2 has both 0 and 1 before it, 4 both 2
+    # and 3, and 5 only 3, which has only 1
+    G = build_graph(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5)])
+    LEVELS = [0b11, 0b1100, 0b110000]
+
+    def test_starts_at_the_smallest_id_of_the_last_level(self):
+        assert _walk_back(self.LEVELS, self.G.masks) == (0, 2, 4)
+        assert _walk_back(self.LEVELS[:2], self.G.masks) == (0, 2)
+
+    def test_each_step_takes_the_smallest_predecessor_in_the_level_before(self):
+        assert _walk_back(self.LEVELS[:2] + [1 << 5], self.G.masks) == (1, 3, 5)
+        assert _walk_back([0b11, 1 << 3], self.G.masks) == (1, 3)
+
+    def test_predecessors_come_from_into(self):
+        into = [1 << 3 if v == 4 else m for v, m in enumerate(self.G.masks)]
+        assert _walk_back(self.LEVELS, into) == (1, 3, 4)
+
+    def test_one_level_is_its_smallest_id(self):
+        assert _walk_back([0b101000], self.G.masks) == (3,)
 
 
 def full_shortest_path(g, source, targets):

@@ -158,6 +158,7 @@ class TestCheckGraph:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep walked back a Gallai-Roy path")
 
+        # oracle's binding of graphs._walk_back, the one GallaiRoyPath.vertices calls
         monkeypatch.setattr(rainbowpath.oracle, "_walk_back", refuse)
         assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
 

@@ -31,9 +31,10 @@ from rainbowpath import (
     random_triangle_free,
 )
 from rainbowpath.graphs import _bits
-from rainbowpath.oracle import _color_orientation, _longest_directed_path
+from rainbowpath.oracle import _color_orientation
 from helpers import (
     every_graph,
+    naive_longest_directed_path,
     naive_longest_induced_path_order,
     naive_longest_induced_rainbow_path_order,
     naive_most_colorful_path_from,
@@ -288,22 +289,21 @@ class TestGallaiRoy:
 
     def test_orientation_points_at_larger_color(self, c5_colored):
         g = c5_colored.graph
-        order, ins = _color_orientation(g.masks, c5_colored.classes, (1 << g.n) - 1)
-        assert sorted(order) == list(range(g.n))
-        arcs = [(u, v) for v in order for u in _bits(ins[v])]
+        ins = _color_orientation(g.masks, c5_colored.classes, (1 << g.n) - 1)
+        arcs = [(u, v) for v in range(g.n) for u in _bits(ins[v])]
         assert all(c5_colored.color_of(u) < c5_colored.color_of(v) for u, v in arcs)
         assert len(arcs) == g.edge_count
 
     def test_orientation_of_a_vertex_subset(self):
-        # order is the subset in (color, id) order, every in-neighbor of v
-        # precedes v in it, and ins is 0 outside the subset
+        # every in-neighbor of v precedes v in the subset's (color, id)
+        # order, and ins is 0 outside the subset
         for seed in range(20):
             rng = random.Random(seed)
             g = random_triangle_free(10, 0.4, seed=seed)
             cg = ColoredGraph(g, random_proper_coloring(g, rng))
             subset = rng.getrandbits(g.n) & ((1 << g.n) - 2)  # never all of V
-            order, ins = _color_orientation(g.masks, cg.classes, subset)
-            assert order == sorted(_bits(subset), key=lambda v: (cg.color_of(v), v))
+            ins = _color_orientation(g.masks, cg.classes, subset)
+            order = sorted(_bits(subset), key=lambda v: (cg.color_of(v), v))
             position = {v: i for i, v in enumerate(order)}
             for v in range(g.n):
                 if not subset >> v & 1:
@@ -319,7 +319,9 @@ class TestGallaiRoy:
         # the class-at-a-time levels give the order and, walked back on the
         # adjacency masks, the path of the vertex-level DP on the in-neighbor masks
         g = cg.graph
-        reference = _longest_directed_path(*_color_orientation(g.masks, cg.classes, (1 << g.n) - 1))
+        order = sorted(range(g.n), key=lambda v: (cg.color_of(v), v))
+        reference = naive_longest_directed_path(
+            order, _color_orientation(g.masks, cg.classes, (1 << g.n) - 1))
         path = gallai_roy_rainbow_path(cg)
         assert path.order == len(reference)
         assert path.vertices == reference
@@ -336,10 +338,10 @@ class TestGallaiRoy:
 
 
 class TestFrozenGallaiRoy:
-    """Vertices of gallai_roy_rainbow_path, frozen when it ran the graded
-    procedure's vertex-level longest-path DP and still its tie-breaks: the
-    levels are now built one color class at a time and the path is walked
-    back on the adjacency masks, by the walk-back the DP shares.
+    """Vertices of gallai_roy_rainbow_path, frozen when it ran a vertex-level
+    longest-path DP and still its tie-breaks: the levels are now built one
+    color class at a time and the path is walked back on the adjacency
+    masks.
 
     Inputs: the mycielski-sweep benchmark graphs (K2 and its first three
     Mycielski iterates) under their first 1000 canonical optimal colorings,

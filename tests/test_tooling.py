@@ -2,9 +2,10 @@
 that renames or stops importing one would break `perfbench/run.py --trace 1`
 without failing any library test, so those names are checked here, and so
 is that each is still used where it is traced. So are
-the bytes of the reports of the benchmark's three workloads, and the pytest
+the bytes of the reports of the benchmark's three workloads, the pytest
 configuration's warning filter, which decides whether a failing test lets
-the rest of the session run."""
+the rest of the session run, and that the package defines nothing that
+only tests use."""
 
 import ast
 import importlib
@@ -56,6 +57,30 @@ def test_traced_name_defined_or_called(attr):
     called = {node.func.id for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert name in defined | called, f"rainbowpath.{attr} is imported but never called"
+
+
+def test_every_definition_is_used_or_exported():
+    """Every module-level function and class of src/rainbowpath is named in
+    the package outside its own definition, or exported by its __init__.
+    Code that only tests call, such as a reference implementation, belongs
+    in tests/helpers.py."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, named = [], set()  # named: (module, top-level definition it sits in, name)
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    named.add((module, owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    named.add((module, owner, sub.attr))
+    unused = [f"{module}.{name}" for module, name in defined if name not in exported
+              and not any(n == name and (m, o) != (module, name) for m, o, n in named)]
+    assert not unused, f"defined in src/rainbowpath but used only outside it: {unused}"
 
 
 def _reference_digest(name, seed, tmp_path):
