@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Coloring, Graph, GraphError, _bits, _layers, _lowest
+from .graphs import Coloring, Graph, GraphError, _bits, _layers, _walk_back
 
 
 MAX_VERTICES = 64
@@ -87,10 +87,11 @@ def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
 
     Each component is searched breadth-first from its smallest vertex. The
     cycle is closed by the first vertex, in layer order and then by id, with
-    a neighbor in its own layer, and by its smallest such neighbor: from
-    these two, both ends step to their smallest neighbor in the layer before
-    until the two walks meet. The cycle runs from the first vertex up its
-    walk to the meeting vertex and down the other walk to its neighbor.
+    a neighbor in its own layer, and by its smallest such neighbor. Both are
+    walked back to the root by graphs._walk_back, one rule at the same depth
+    each step, so once the walks meet they stay together. The cycle runs
+    from the first vertex up its walk to the last vertex the walks share
+    and down the other walk to its neighbor.
     """
     unseen = (1 << g.n) - 1
     while unseen:
@@ -99,13 +100,10 @@ def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
             for v in _bits(layer):
                 same = g.masks[v] & layer
                 if same:
-                    left, right = [v], [_lowest(same)]
-                    for before in reversed(layers):
-                        if left[-1] == right[-1]:
-                            break
-                        left.append(_lowest(g.masks[left[-1]] & before))
-                        right.append(_lowest(g.masks[right[-1]] & before))
-                    return tuple(left + right[-2::-1])
+                    left = _walk_back(layers + [1 << v], g.masks)
+                    right = _walk_back(layers + [same & -same], g.masks)
+                    k = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+                    return left[k - 1:][::-1] + right[k:]
             layers.append(layer)
             unseen &= ~layer
     return None

@@ -1,8 +1,13 @@
 """Bit-exact graph6 encoding and decoding plus corpus-file helpers.
 
-graph6 packs the upper adjacency triangle column-major into 6-bit groups,
-each offset by 63 into the printable range. Corpus files hold one graph6
-string per line; '#'-prefixed lines are comments.
+graph6 (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt) is a
+size field followed by the upper adjacency triangle, column by column, each
+column smallest row first. One packing, _pack, writes both as 6-bit groups,
+each offset by 63 into the printable range and zero-padded at the end; the
+decoder reads both back with its one inverse, _unpack. The size field takes
+one of three forms, the rows of _SIZE_FORMS: the encoder takes the first
+that holds n, the decoder the one its prefix names. Corpus files hold one
+graph6 string per line; '#'-prefixed lines are comments.
 """
 
 from __future__ import annotations
@@ -11,70 +16,41 @@ from pathlib import Path as FilePath
 from string import whitespace
 from typing import Iterator
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _bits
 
 HEADER = ">>graph6<<"
+
+# (prefix, 6-bit digits, largest n) of each size form
+_SIZE_FORMS = (("", 1, 62), ("~", 3, 258047), ("~~", 6, 68719476735))
 
 
 class Graph6Error(GraphError):
     """Malformed graph6 input."""
 
 
-def _encode_size(n: int) -> str:
-    if n < 0:
-        raise Graph6Error("negative vertex count")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        groups = [(n >> 12) & 63, (n >> 6) & 63, n & 63]
-        return "~" + "".join(chr(g + 63) for g in groups)
-    if n <= 68719476735:
-        groups = [(n >> shift) & 63 for shift in (30, 24, 18, 12, 6, 0)]
-        return "~~" + "".join(chr(g + 63) for g in groups)
-    raise Graph6Error(f"vertex count {n} exceeds graph6 limits")
+def _pack(bits: str) -> str:
+    """A bit string as 6-bit groups offset by 63, zero-padded at the end."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
-def _decode_size(text: str) -> tuple[int, str]:
-    if not text:
-        raise Graph6Error("empty graph6 string")
-    if text[0] != "~":
-        return ord(text[0]) - 63, text[1:]
-    if len(text) >= 2 and text[1] == "~":
-        digits, rest = text[2:8], text[8:]
-        if len(digits) != 6:
-            raise Graph6Error("truncated 36-bit size field")
-    else:
-        digits, rest = text[1:4], text[4:]
-        if len(digits) != 3:
-            raise Graph6Error("truncated 18-bit size field")
-    n = 0
-    for ch in digits:
-        n = n << 6 | (ord(ch) - 63)
-    return n, rest
+def _unpack(chars: str) -> str:
+    """The bit string that _pack wrote as chars."""
+    return "".join(format(ord(ch) - 63, "06b") for ch in chars)
 
 
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 string; decode(encode(g)) == g."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k: k + 6]:
-            group = group << 1 | b
-        body.append(chr(group + 63))
-    return _encode_size(g.n) + "".join(body)
+    prefix, digits, _ = next(form for form in _SIZE_FORMS if g.n <= form[2])
+    body = "".join(format(g.masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    return prefix + _pack(format(g.n, f"0{6 * digits}b")) + _pack(body)
 
 
 def decode_graph6(text: str) -> Graph:
     """Decode one graph6 line (optional >>graph6<< header allowed).
 
-    Raises Graph6Error on illegal bytes, wrong body length, or nonzero
-    padding bits.
+    Raises Graph6Error on illegal bytes, an empty string, a truncated size
+    field, wrong body length, or nonzero padding bits, checked in that order.
     """
     text = text.strip(whitespace)
     if text.startswith(HEADER):
@@ -82,27 +58,27 @@ def decode_graph6(text: str) -> Graph:
     for ch in text:
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(f"illegal graph6 byte {ord(ch)}")
-    n, body = _decode_size(text)
-    if n < 0:
-        raise Graph6Error("negative vertex count")
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    prefix, digits, _ = _SIZE_FORMS[text.startswith("~") + text.startswith("~~")]
+    size = text[len(prefix):len(prefix) + digits]
+    if len(size) != digits:
+        raise Graph6Error(f"truncated {6 * digits}-bit size field")
+    n = int(_unpack(size), 2)
+    body = text[len(prefix) + digits:]
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     if len(body) != expected:
         raise Graph6Error(f"body has {len(body)} bytes, expected {expected} for n={n}")
-    bits = []
-    for ch in body:
-        group = ord(ch) - 63
-        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = _unpack(body)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
     masks = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            idx += 1
+        column = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        masks[j] |= column
+        for i in _bits(column):
+            masks[i] |= 1 << j
     return Graph(n, tuple(masks))
 
 

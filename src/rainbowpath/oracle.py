@@ -25,6 +25,9 @@ silently returned. Their results, node counts included, follow one contract:
 - one loop serves the induced and the rainbow search: a vertex on the path
   blocks itself, or its whole color class, from joining it, and the loop
   stops at the first path of `limit` vertices (n, or the palette size);
+- that loop returns its path smaller endpoint first, unflipped: the
+  reversal of a path is found from its other endpoint, and the smaller
+  endpoint is searched first (see _search_path);
 - the most-colorful search stops at the first best path that sees every
   color in that many vertices, and an extension with at least as many
   vertices as the best must reach one color more than the best to pass its
@@ -83,14 +86,10 @@ def _check_budget(g: Graph, budget: SearchBudget) -> None:
         )
 
 
-def _finish(raw_path: list[int], nodes: int, exceeded: bool, budget: SearchBudget,
-            normalize: bool = True) -> SearchResult:
+def _finish(raw_path: list[int], nodes: int, exceeded: bool, budget: SearchBudget) -> SearchResult:
     if exceeded and budget.on_exceed == "error":
         raise BudgetExceededError(f"search exceeded {budget.max_nodes} nodes")
-    vs = tuple(raw_path)
-    if normalize and len(vs) > 1 and vs[0] > vs[-1]:
-        vs = tuple(reversed(vs))
-    return SearchResult(Path(vs), exact=not exceeded, nodes=nodes)
+    return SearchResult(Path(tuple(raw_path)), exact=not exceeded, nodes=nodes)
 
 
 def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
@@ -117,6 +116,15 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     open: the extension and every path grown from it could at best tie the
     best, and ties never replace it. Unless the budget runs out, the result
     is that of the search without the bound; only node counts drop.
+
+    The result starts at its smaller endpoint. Say it were (s, ..., e) with
+    e < s. It became the best while searching from s, so it is longer than
+    the best left when the search from e finished. But that search meets
+    its reversal (e, ..., s), induced and with one vertex per block too:
+    every later vertex of it stays open, so the bound never cuts it, and
+    only a limit stop, which ends the whole search, could come first. A
+    budget cut keeps this, since the search from e finished before the one
+    from s began.
     """
     best = [0]
     nodes = 0
@@ -261,7 +269,7 @@ def max_colorful_induced_path_from(
     raw, nodes, exceeded = _search_most_colorful(
         g.masks, cg.coloring.colors, cg.classes, start, budget.max_nodes
     )
-    return _finish(raw, nodes, exceeded, budget, normalize=False)
+    return _finish(raw, nodes, exceeded, budget)
 
 
 def _color_orientation(masks: tuple[int, ...], classes: dict[int, int],

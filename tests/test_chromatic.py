@@ -19,6 +19,7 @@ from rainbowpath import (
     is_proper,
     iter_colorings,
     mycielski_iterates,
+    petersen_graph,
     random_triangle_free,
 )
 from rainbowpath.chromatic import TooLargeError, _k_colorable, _odd_cycle
@@ -205,6 +206,20 @@ class TestOddCycleCertificate:
     @pytest.mark.parametrize("depth", range(5))
     def test_mycielski_iterates(self, depth):
         self._check(mycielski_iterates(depth)[-1])
+
+    @pytest.mark.parametrize("g, cycle", [
+        (cycle_graph(5), (2, 1, 0, 4, 3)),
+        (petersen_graph(), (1, 9, 0, 8, 5)),
+        (mycielski_iterates(2)[-1], (2, 1, 0, 3, 4)),
+        (mycielski_iterates(3)[-1], (2, 1, 0, 3, 4)),
+        (dense_graph(12, 0.2, 4), (1, 4, 0, 5, 3)),
+        (dense_graph(16, 0.15, 2), (9, 8, 1, 7, 11)),
+    ], ids=["C5", "petersen", "grotzsch", "mycielski-3", "dense-12", "dense-16"])
+    def test_frozen_certificates(self, g, cycle):
+        # the tie-breaks frozen: the first vertex with a neighbor in its own
+        # layer, its smallest such neighbor, then smallest predecessors back
+        # to where the two walks join (at vertex 1, not the root, on dense-16)
+        assert _odd_cycle(g) == cycle
 
 
 def vertex_choices(g, k):

@@ -105,6 +105,7 @@ class TestLongestInducedPath:
             result = longest_induced_path(g)
             assert result.exact
             assert result.path.order == naive_longest_induced_path_order(g)
+            assert result.path.vertices[0] <= result.path.vertices[-1]
             rainbow = longest_induced_rainbow_path(ColoredGraph(g, distinct))
             assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
                 result.path, result.nodes, result.exact)
@@ -132,6 +133,7 @@ class TestLongestInducedRainbowPath:
                 rainbow = longest_induced_rainbow_path(cg, budget)
                 assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
                     plain.path, plain.nodes, plain.exact)
+                assert plain.path.vertices[0] <= plain.path.vertices[-1]
 
     def test_single_vertex(self):
         cg = ColoredGraph(build_graph(1, []), Coloring((1,)))
