@@ -19,7 +19,8 @@ from .chromatic import chromatic_number
 from .colorful import ColorfulResult, colorful_path_from
 from .generators import cycle_graph, kneser_graph, mycielski_iterates, random_triangle_free
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import ColoredGraph, Coloring, GraphError, classify_path
+from .graphs import (ColoredGraph, Coloring, GraphError, classify_path, connected_components,
+                     induced_subgraph)
 from .grading import Grading, GradingOutcome, OutcomeKind, rainbow_or_witness
 from .harness import HarnessConfig, check_graph, report_to_json, run_corpus
 from .oracle import (
@@ -165,7 +166,12 @@ def _cmd_construct(args) -> int:
     g = decode_graph6(args.graph6)
     coloring = _read_coloring(args)
     cg = ColoredGraph(g, coloring)
-    chi_lb = args.chi_lb if args.chi_lb is not None else chromatic_number(g).chi
+    chi_lb = args.chi_lb
+    if chi_lb is None:
+        # the construction runs inside the start's component; a start outside
+        # the graph meets no component and is refused by colorful_path_from
+        comp = next((c for c in connected_components(g) if args.start in c), ())
+        chi_lb = chromatic_number(induced_subgraph(g, comp)).chi
     result = colorful_path_from(cg, args.start, chi_lb)
     report = classify_path(cg, result.path.vertices)
     print(f"path: {list(result.path.vertices)}")
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coloring_args(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--chi-lb", type=int, dest="chi_lb",
-                   help="chromatic lower bound (default: exact chi)")
+                   help="chromatic lower bound (default: exact chi of the start's component)")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_construct)
 

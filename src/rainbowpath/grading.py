@@ -10,17 +10,18 @@ either some path vertex has enough later neighbors of distinct colors (a
 witness) or a breadth-first tree inside the path's vertex set is deep
 enough to surface an induced rainbow path of the target order.
 
-The forward and backward longest paths come from the oracle's level DP,
-_color_levels, run on the class's color classes with each vertex's
-neighbors split by grading order into forward and backward steps, and are
-walked back by graphs._walk_back on the orientation's in-neighbor masks,
-split the same way. The witness scan and the probe stay inside one longest
-path's vertex set, where every arc of the class belongs to that path's
-side, so they read the color orientation's per-vertex in- and out-neighbor
-bitmasks directly; the forward and backward arc lists exist only for the
-trace. The probe is the shared breadth-first search graphs._layers inside
-the path's vertex set, its chain the same walk back, and the witness takes
-the smallest s arc-neighbors.
+The grading order is one per-vertex bitmask, Grading.later: each vertex's
+neighbors split once into steps to a later part and the rest. The forward
+longest path is the oracle's level DP, _color_levels, run on the class's
+color classes with the later-part steps, and the backward one the same DP
+on the rest; graphs._walk_back reads each off the orientation's in-neighbor
+masks, restricted to the other split. Inside one longest path's vertex set
+the side's arcs are exactly the edges and each steps to a later part, so
+both sides probe with the shared breadth-first search graphs._layers on the
+later-part steps from the path vertex in the earliest part, and read its
+chain with the same walk back on the rest. One witness scan, _witness,
+takes the smallest id of each color among a vertex's later neighbors; it
+reads both path sets and then the whole graph.
 
 Every returned path or witness is re-verified against the original colored
 graph before being reported, and a procedure run always carries a full
@@ -29,9 +30,10 @@ trace of the intermediate objects.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 from .chromatic import chromatic_number
 from .graphs import (ColoredGraph, Graph, GraphError, Path, _bits, _layers, _walk_back, classify_path,
@@ -63,16 +65,15 @@ class Grading:
         return out
 
     @cached_property
-    def class_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for part, coloring in zip(self.parts, self.part_colorings):
-            for v, c in zip(part, coloring):
-                out[v] = c
-        return out
-
-    def is_later(self, u: int, v: int) -> bool:
-        """True when u belongs to a strictly later part than v."""
-        return self.part_of[u] > self.part_of[v]
+    def later(self) -> tuple[int, ...]:
+        """later[v] is the bitmask of the vertices in strictly later parts than v's."""
+        out = [0] * sum(map(len, self.parts))
+        after = 0
+        for part in reversed(self.parts):
+            for v in part:
+                out[v] = after
+            after |= sum(1 << v for v in part)
+        return tuple(out)
 
 
 def validate_grading(g: Graph, grading: Grading) -> None:
@@ -81,23 +82,22 @@ def validate_grading(g: Graph, grading: Grading) -> None:
         raise GradingError("k must be positive")
     if len(grading.parts) != len(grading.part_colorings):
         raise GradingError("each part needs exactly one coloring")
-    seen: set[int] = set()
+    color: dict[int, int] = {}
     for part, coloring in zip(grading.parts, grading.part_colorings):
         if len(part) != len(coloring):
             raise GradingError("part coloring length mismatch")
         for v, c in zip(part, coloring):
             if not 0 <= v < g.n:
                 raise GradingError(f"vertex {v} not in graph")
-            if v in seen:
+            if v in color:
                 raise GradingError(f"vertex {v} appears in two parts")
-            seen.add(v)
+            color[v] = c
             if not 1 <= c <= grading.k:
                 raise GradingError(f"part color {c} outside 1..{grading.k}")
-    if len(seen) != g.n:
+    if len(color) != g.n:
         raise GradingError("parts do not cover the vertex set")
-    cls = grading.class_of
     for u, v in g.edges():
-        if grading.part_of[u] == grading.part_of[v] and cls[u] == cls[v]:
+        if grading.part_of[u] == grading.part_of[v] and color[u] == color[v]:
             raise GradingError(f"part coloring is improper on edge ({u},{v})")
 
 
@@ -218,25 +218,21 @@ def verify_witness_outcome(cg: ColoredGraph, grading: Grading, witness: Witness,
         return False
     if len({cg.color_of(u) for u in vs}) != s:
         return False
-    return all(
-        cg.graph.has_edge(witness.vertex, u) and grading.is_later(u, witness.vertex)
-        for u in vs
-    )
+    later = grading.later[witness.vertex]
+    return all(cg.graph.has_edge(witness.vertex, u) and later >> u & 1 for u in vs)
 
 
-def _global_witness(cg: ColoredGraph, grading: Grading, s: int) -> Witness | None:
-    """Whole-graph scan for a witness vertex (not restricted to path sets)."""
-    for v in range(cg.graph.n):
-        later = [u for u in _bits(cg.graph.masks[v]) if grading.is_later(u, v)]
-        chosen: list[int] = []
-        colors_seen: set[int] = set()
-        for u in later:
-            c = cg.color_of(u)
-            if c not in colors_seen:
-                colors_seen.add(c)
-                chosen.append(u)
-                if len(chosen) == s:
-                    return Witness(vertex=v, later_neighbors=tuple(chosen))
+def _witness(cg: ColoredGraph, step: list[int], s: int, order: Iterable[int],
+             within: int) -> Witness | None:
+    """The first vertex v of order with s later neighbors (step[v]) of
+    distinct colors inside the vertex bitmask within: the smallest id of
+    each color, for the s colors whose smallest ids come first."""
+    for v in order:
+        firsts: dict[int, int] = {}
+        for u in _bits(step[v] & within):
+            firsts.setdefault(cg.color_of(u), u)
+            if len(firsts) == s:
+                return Witness(vertex=v, later_neighbors=tuple(firsts.values()))
     return None
 
 
@@ -245,12 +241,13 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
 
     Steps: refine the grading into classes; take the class with the largest
     exact chromatic number; orient it by color; order its vertices by part;
-    split arcs into forward/backward; take longest directed paths in both;
-    scan their vertex sets for a witness; otherwise probe by BFS and verify
-    the extracted parent path, falling back to an exhaustive induced-path
-    search inside the (rainbow) path set when verification fails. A final
-    whole-graph witness scan runs before conceding NO_GUARANTEE, which is a
-    legal outcome whenever chi(G) < k*r(s).
+    split each vertex's neighbors into the later-part steps and the rest,
+    which splits the arcs into forward/backward; take longest directed paths
+    in both; scan their vertex sets for a witness; otherwise probe by BFS and
+    verify the extracted parent path, falling back to an exhaustive
+    induced-path search inside the (rainbow) path set when verification
+    fails. The same witness scan then runs over the whole graph before
+    conceding NO_GUARANTEE, which is a legal outcome whenever chi(G) < k*r(s).
     """
     if s < 3:
         raise GradingError(f"target order must be at least 3, got {s}")
@@ -265,65 +262,36 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     class_vertices = classes[j]
     class_mask = sum(1 << v for v in class_vertices)
     ins = _color_orientation(g.masks, cg.classes, class_mask)
-    arcs = sorted((u, w) for w in class_vertices for u in _bits(ins[w]))
-
+    arcs = tuple(sorted((u, w) for w in class_vertices for u in _bits(ins[w])))
     pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
-    earlier = [0] * g.n  # earlier[v]: mask of the class vertices before v in pi_order
-    seen = 0
-    for v in pi_order:
-        earlier[v] = seen
-        seen |= 1 << v
-    forward_arcs = [(u, w) for u, w in arcs if earlier[w] >> u & 1]
-    backward_arcs = [(u, w) for u, w in arcs if not earlier[w] >> u & 1]
 
-    # the class's color classes; a forward arc steps to a later part, a
-    # backward one to an earlier part
+    # The part colorings are proper, so no class arc stays inside one part:
+    # a forward arc steps to a later part, a backward one to a preceding part.
+    step = [m & later for m, later in zip(g.masks, grading.later)]
+    back = [m & ~later for m, later in zip(g.masks, grading.later)]
+    forward_arcs = tuple((u, w) for u, w in arcs if step[u] >> w & 1)
+    backward_arcs = tuple((u, w) for u, w in arcs if not step[u] >> w & 1)
     by_color = {c: m & class_mask for c, m in cg.classes.items()}
-    forward_path = _walk_back(_color_levels([m & ~e for m, e in zip(g.masks, earlier)], by_color),
-                              [i & e for i, e in zip(ins, earlier)])
-    backward_path = _walk_back(_color_levels([m & e for m, e in zip(g.masks, earlier)], by_color),
-                               [i & ~e for i, e in zip(ins, earlier)])
+    forward_path = _walk_back(_color_levels(step, by_color), [i & b for i, b in zip(ins, back)])
+    backward_path = _walk_back(_color_levels(back, by_color), [i & f for i, f in zip(ins, step)])
+    trace = partial(GradingTrace, class_chis, j, class_vertices, arcs, pi_order,
+                    forward_arcs, backward_arcs, forward_path, backward_path)
+
+    # Both searches stay inside one longest path's vertex set, which is
+    # rainbow. Colors rise along the path, and grading order rises (forward)
+    # or falls (backward) with them, so inside that set the side's arcs are
+    # exactly the edges, each stepping to the later part. The BFS roots at
+    # the path vertex in the earliest part.
+    sides = [("forward", forward_path, forward_path[0]),
+             ("backward", backward_path, backward_path[-1])]
+    for _, path_vertices, _ in sides:
+        witness = _witness(cg, step, s, path_vertices, sum(1 << v for v in path_vertices))
+        if witness is not None and verify_witness_outcome(cg, grading, witness, s):
+            return GradingOutcome(OutcomeKind.WITNESS, None, witness, trace((), False))
 
     bfs_attempts: list[BfsAttempt] = []
-
-    def finish(kind: OutcomeKind, path: Path | None, witness: Witness | None,
-               global_scan: bool) -> GradingOutcome:
-        trace = GradingTrace(
-            class_chromatic_numbers=class_chis,
-            class_index=j,
-            class_vertices=class_vertices,
-            arcs=tuple(arcs),
-            pi_order=pi_order,
-            forward_arcs=tuple(forward_arcs),
-            backward_arcs=tuple(backward_arcs),
-            forward_path=forward_path,
-            backward_path=backward_path,
-            bfs_attempts=tuple(bfs_attempts),
-            global_witness_scan_used=global_scan,
-        )
-        return GradingOutcome(kind, path, witness, trace)
-
-    # Both searches stay inside one longest path's vertex set. Colors rise
-    # along the path, and grading order rises (forward) or falls (backward)
-    # with them, so every class arc inside that set is one of the side's
-    # arcs: in the class, out-neighbors step to later parts on the forward
-    # side and in-neighbors do on the backward side.
-    outs = [mask & class_mask & ~i for mask, i in zip(g.masks, ins)]
-    sides = [
-        ("forward", forward_path, True, sum(1 << v for v in forward_path), outs, ins),
-        ("backward", backward_path, False, sum(1 << v for v in backward_path), ins, outs),
-    ]
-    for _, path_vertices, _, members, step, _ in sides:
-        v = next((v for v in path_vertices if (step[v] & members).bit_count() >= s), None)
-        if v is not None:
-            witness = Witness(vertex=v, later_neighbors=tuple(_bits(step[v] & members))[:s])
-            if verify_witness_outcome(cg, grading, witness, s):
-                return finish(OutcomeKind.WITNESS, None, witness, False)
-
-    # the chosen class is not empty, so both paths have a vertex
-    for side, path_vertices, outgoing, members, step, back in sides:
-        root = path_vertices[0] if outgoing else path_vertices[-1]
-        layers = list(_layers(step, members, 1 << root))
+    for side, path_vertices, root in sides:
+        layers = list(_layers(step, sum(1 << v for v in path_vertices), 1 << root))
         max_depth = len(layers) - 1
         if max_depth < s - 1:
             bfs_attempts.append(BfsAttempt(side, root, max_depth, None, None, False))
@@ -332,27 +300,25 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
         # is the smallest id at depth s-1, a vertex's parent its smallest
         # predecessor in the layer before
         chain = _walk_back(layers[:s], back)
-        extracted = chain if outgoing else chain[::-1]
+        extracted = chain if side == "forward" else chain[::-1]
         candidate = Path(extracted)
-        ok = verify_rainbow_outcome(cg, candidate, s)
-        if ok:
+        if verify_rainbow_outcome(cg, candidate, s):
             bfs_attempts.append(BfsAttempt(side, root, max_depth, extracted, True, False))
-            return finish(OutcomeKind.RAINBOW_PATH, candidate, None, False)
+            return GradingOutcome(OutcomeKind.RAINBOW_PATH, candidate, None,
+                                  trace(tuple(bfs_attempts), False))
         # the parent path picked up a chord in G: search the (rainbow)
         # path set exhaustively instead
         result = longest_induced_path(induced_subgraph(g, path_vertices),
                                       SearchBudget(on_exceed="flag"))
+        bfs_attempts.append(BfsAttempt(side, root, max_depth, extracted, False, True))
         if result.path.order >= s:
             to_parent = sorted(path_vertices)
-            mapped = tuple(to_parent[v] for v in result.path.vertices[:s])
-            candidate = Path(mapped)
+            candidate = Path(tuple(to_parent[v] for v in result.path.vertices[:s]))
             if verify_rainbow_outcome(cg, candidate, s):
-                bfs_attempts.append(BfsAttempt(side, root, max_depth, extracted, False, True))
-                return finish(OutcomeKind.RAINBOW_PATH, candidate, None, False)
-        bfs_attempts.append(BfsAttempt(side, root, max_depth, extracted, False, True))
+                return GradingOutcome(OutcomeKind.RAINBOW_PATH, candidate, None,
+                                      trace(tuple(bfs_attempts), False))
 
-    witness = _global_witness(cg, grading, s)
+    witness = _witness(cg, step, s, range(g.n), (1 << g.n) - 1)
     if witness is not None and verify_witness_outcome(cg, grading, witness, s):
-        return finish(OutcomeKind.WITNESS, None, witness, True)
-
-    return finish(OutcomeKind.NO_GUARANTEE, None, None, True)
+        return GradingOutcome(OutcomeKind.WITNESS, None, witness, trace(tuple(bfs_attempts), True))
+    return GradingOutcome(OutcomeKind.NO_GUARANTEE, None, None, trace(tuple(bfs_attempts), True))

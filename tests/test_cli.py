@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from rainbowpath import build_graph, cycle_graph, decode_graph6, encode_graph6, petersen_graph
+import rainbowpath.harness
+from rainbowpath import Path, build_graph, cycle_graph, decode_graph6, encode_graph6, petersen_graph
 from rainbowpath.cli import main, read_grading_file
+from rainbowpath.oracle import SearchResult
 
 
 def run(capsys, *argv):
@@ -152,6 +154,20 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert err == f"error: {f}: byte 0xe9 is not ASCII\n"
 
+    @pytest.mark.parametrize("start, path, needed", [(5, [5], 1), (0, [0, 4], 2)])
+    def test_default_bound_is_the_start_component_chi(self, capsys, start, path, needed):
+        # C5 plus K2: from K2's vertex 5 the bound is 2, not the graph's chi 3
+        code, out, _ = run(capsys, "construct", "Fhc?G", "--coloring", "1 2 1 2 3 1 2",
+                           "--start", str(start))
+        assert code == 0
+        assert out.startswith(f"path: {path}\n") and f"(needed >= {needed})" in out
+
+    def test_start_outside_graph_exit_one(self, capsys):
+        code, out, err = run(capsys, "construct", "Fhc?G", "--coloring", "1 2 1 2 3 1 2",
+                             "--start", "7")
+        assert code == 1 and out == ""
+        assert err == "error: start vertex 7 not in graph\n"
+
 
 class TestLemma1Command:
     def test_c5_singleton_grading(self, capsys, tmp_path, c5):
@@ -167,6 +183,17 @@ class TestLemma1Command:
         assert "outcome: rainbow-path" in out
         assert "rainbow path: [2, 3, 4]" in out
         assert "forward arcs" in out
+
+    def test_witness_output(self, capsys, tmp_path):
+        # the star K1,3 with a rainbow coloring and one part per vertex:
+        # vertex 0 sees three later neighbors of distinct colors
+        grading = tmp_path / "grading.txt"
+        grading.write_text("0\n1\n2\n3\n1\n1\n1\n1\n")
+        code, out, _ = run(capsys, "lemma1", "Cs", "--coloring", "1 2 3 4",
+                           "--grading-file", str(grading), "--s", "3")
+        assert code == 0
+        assert out == ("outcome: witness\nwitness vertex: 0\n"
+                       "later distinct-colored neighbors: [1, 2, 3]\n")
 
     def test_malformed_grading_file_exit_one(self, capsys, tmp_path, c5):
         grading = tmp_path / "grading.txt"
@@ -217,14 +244,55 @@ class TestOracleCommand:
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["check", "corpus", "oracle"])
-def test_budget_zero_exit_one(capsys, tmp_path, command):
+@pytest.mark.parametrize("argv, files, message", [
+    pytest.param(("construct", "Dhc", "--coloring", "1 2 x 2 3"), {},
+                 "bad coloring line: invalid literal for int() with base 10: 'x'",
+                 id="coloring-token"),
+    pytest.param(("construct", "Dhc", "--coloring-file", "{coloring}"),
+                 {"coloring": "# no data\n\n"}, "no coloring line found in {coloring}",
+                 id="coloring-file-empty"),
+    pytest.param(("construct", "Dhc"), {}, "provide --coloring or --coloring-file",
+                 id="no-coloring"),
+    pytest.param(("lemma1", "Dhc", "--coloring", "1 2 1 2 3", "--grading-file", "{grading}",
+                  "--s", "3"),
+                 {"grading": "0 1 2 3 4\n1 2 1 2 3\n0\n"},
+                 "grading file needs 2 lines per part, got 3 lines", id="grading-odd-lines"),
+])
+def test_input_error_exit_one(capsys, tmp_path, argv, files, message):
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: {message.format(**paths)}\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param("check", ("--budget", "0"), id="check"),
+    pytest.param("corpus", ("--budget", "0"), id="corpus"),
+    pytest.param("oracle", ("--budget", "0"), id="oracle"),
+    pytest.param("check", ("--cap", "0"), id="check-cap"),
+    pytest.param("corpus", ("--jobs", "0"), id="corpus-jobs"),
+    pytest.param("check", ("--delta", "-1"), id="check-delta"),
+    pytest.param("corpus", ("--samples", "-1"), id="corpus-samples"),
+])
+def test_budget_zero_exit_one(capsys, tmp_path, command, option):
+    """A budget, cap or job count below 1, or a negative delta or sample
+    count, is an input error."""
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Dhc\n")
     target = str(corpus) if command == "corpus" else "Dhc"
-    code, out, err = run(capsys, command, target, "--budget", "0")
+    code, out, err = run(capsys, command, target, *option)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def one_vertex_rainbow(monkeypatch):
+    """Every sweep's rainbow search proves its best path has one vertex: an
+    exact answer below chi, so a sweep of C5 records a violation."""
+    monkeypatch.setattr(rainbowpath.harness, "longest_induced_rainbow_path",
+                        lambda cg, budget: SearchResult(Path((0,)), exact=True, nodes=1))
 
 
 class TestCheckCommand:
@@ -237,6 +305,18 @@ class TestCheckCommand:
     def test_bad_graph6_exit_one(self, capsys):
         code, _, err = run(capsys, "check", "D?")
         assert code == 1 and "error" in err
+
+    def test_out_file_holds_the_printed_line(self, capsys, tmp_path, c5):
+        out_file = tmp_path / "report.json"
+        code, out, _ = run(capsys, "check", encode_graph6(c5), "--out", str(out_file))
+        assert code == 0 and out_file.read_text(encoding="ascii") == out
+
+    def test_violation_exit_two(self, capsys, c5, one_vertex_rainbow):
+        code, out, _ = run(capsys, "check", encode_graph6(c5))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["holds_for_all_checked"] is False
+        assert payload["witness_coloring"] == [1, 2, 1, 2, 3]
 
 
 class TestCorpusCommand:
@@ -273,6 +353,17 @@ class TestCorpusCommand:
         empty, c5 = map(json.loads, out_file.read_text().splitlines())
         assert (empty["n"], empty["colorings_checked"], empty["checks"]) == (0, 0, [])
         assert c5["chi"] == 3 and c5["holds_for_all_checked"]
+
+    def test_violation_exit_two(self, capsys, tmp_path, c5, one_vertex_rainbow):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(encode_graph6(c5) + "\n")
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run(capsys, "corpus", str(corpus), "--jobs", "1", "--out", str(out_file))
+        assert code == 2
+        assert "violations found: 1" in out.splitlines()
+        [record] = map(json.loads, out_file.read_text().splitlines())
+        assert record["holds_for_all_checked"] is False
+        assert record["witness_coloring"] == [1, 2, 1, 2, 3]
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.g6"))

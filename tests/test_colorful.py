@@ -154,6 +154,10 @@ class TestErrors:
         with pytest.raises(GraphError):
             colorful_path_from(c5_colored, 9, 2)
 
+    def test_nonpositive_bound_rejected(self, c5_colored):
+        with pytest.raises(GraphError, match="chromatic lower bound must be positive"):
+            colorful_path_from(c5_colored, 0, 0)
+
 
 class TestSelfCheck:
     """The construction checks its own path on the adjacency masks: each

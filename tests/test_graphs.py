@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rainbowpath import (
     ColoredGraph,
     Coloring,
+    Graph,
     GraphError,
     build_graph,
     classify_path,
@@ -68,6 +69,16 @@ class TestBuildGraph:
     def test_empty_graph_is_legal(self):
         g = build_graph(0, [])
         assert g.n == 0 and connected_components(g) == []
+
+    @pytest.mark.parametrize("n, masks, message", [
+        (2, (0b10,), "need exactly 2 adjacency masks"),
+        (2, (0b110, 0b1), "vertex 0 adjacent to out-of-range vertex"),
+        (2, (0b11, 0b1), "self-loop at vertex 0"),
+        (3, (0b10, 0b101, 0b0), "asymmetric adjacency between 2 and 1"),
+    ])
+    def test_graph_constructor_rejects(self, n, masks, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph(n, masks)
 
 
 class TestTriangleFree:

@@ -183,10 +183,17 @@ class TestCheckGraph:
         report = check_graph(g, HarnessConfig(coloring_cap=cap, max_nodes=max_nodes))
         assert report.colorings_checked == cap
 
-    @pytest.mark.parametrize("field", ["coloring_cap", "max_nodes", "parallelism"])
-    def test_caps_must_be_positive(self, field):
-        with pytest.raises(GraphError):
-            HarnessConfig(**{field: 0})
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("coloring_cap", 0, "caps must be positive", id="coloring_cap"),
+        pytest.param("max_nodes", 0, "caps must be positive", id="max_nodes"),
+        pytest.param("parallelism", 0, "caps must be positive", id="parallelism"),
+        pytest.param("max_colors_delta", -1, "must be non-negative", id="max_colors_delta"),
+        pytest.param("extra_samples", -1, "must be non-negative", id="extra_samples"),
+    ])
+    def test_caps_must_be_positive(self, field, value, message):
+        """Caps below 1, and deltas or sample counts below 0, are refused."""
+        with pytest.raises(GraphError, match=message):
+            HarnessConfig(**{field: value})
 
     def test_report_json_is_stable(self, c5):
         report = check_graph(c5, HarnessConfig())

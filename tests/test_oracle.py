@@ -221,6 +221,9 @@ class TestMaxColorfulFrom:
     def test_single_vertex(self):
         cg = ColoredGraph(build_graph(1, []), Coloring((1,)))
         assert max_colorful_induced_path_from(cg, 0).path.vertices == (0,)
+        for start in (-1, 1):
+            with pytest.raises(GraphError, match=f"start vertex {start} not in graph"):
+                max_colorful_induced_path_from(cg, start)
 
     def test_c5_example(self, c5_colored):
         result = max_colorful_induced_path_from(c5_colored, 0)
