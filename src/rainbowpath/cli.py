@@ -6,7 +6,9 @@ procedure with trace), oracle (exact searches), check (single-graph
 conjecture sweep), corpus (file sweep to JSONL).
 
 Exit codes: 0 completed, 1 usage or input error, 2 completed with at least
-one conjecture violation recorded.
+one conjecture violation recorded (a shortfall proved by an exact search),
+3 completed with no violation but at least one coloring undecided (its
+search spent the node budget short of chi).
 """
 
 from __future__ import annotations
@@ -241,7 +243,9 @@ def _cmd_check(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(line + "\n")
     print(line)
-    return 0 if report.holds_for_all_checked else 2
+    if report.holds_for_all_checked:
+        return 0
+    return 2 if report.witness_coloring is not None else 3
 
 
 def _cmd_corpus(args) -> int:
@@ -250,10 +254,11 @@ def _cmd_corpus(args) -> int:
     print(f"graphs processed: {summary.graphs_processed}")
     print(f"colorings checked: {summary.checks_run}")
     print(f"violations found: {summary.violations}")
+    print(f"undecided: {summary.undecided}")
     for reason in summary.skipped:
         print(f"skipped {reason}")
     print(f"wall time: {summary.wall_time:.2f}s")
-    return 2 if summary.violations else 0
+    return 2 if summary.violations else 3 if summary.undecided else 0
 
 
 def _add_coloring_args(p: argparse.ArgumentParser) -> None:
@@ -317,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**8, help="search-node cap")
     p.set_defaults(func=_cmd_oracle)
 
-    for name, help_text in (("check", "conjecture sweep over one graph"),
-                            ("corpus", "conjecture sweep over a graph6 corpus file")):
-        p = sub.add_parser(name, help=help_text)
+    verdicts = "; exits 2 on a proved violation, else 3 if a search was cut short below chi"
+    for name, help_text in (("check", "conjecture sweep over one graph" + verdicts),
+                            ("corpus", "conjecture sweep over a graph6 corpus file" + verdicts)):
+        p = sub.add_parser(name, help=help_text, description=help_text)
         if name == "check":
             p.add_argument("graph6")
         else:

@@ -57,14 +57,6 @@ class Grading:
     k: int
 
     @cached_property
-    def part_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, part in enumerate(self.parts):
-            for v in part:
-                out[v] = i
-        return out
-
-    @cached_property
     def later(self) -> tuple[int, ...]:
         """later[v] is the bitmask of the vertices in strictly later parts than v's."""
         out = [0] * sum(map(len, self.parts))
@@ -82,22 +74,22 @@ def validate_grading(g: Graph, grading: Grading) -> None:
         raise GradingError("k must be positive")
     if len(grading.parts) != len(grading.part_colorings):
         raise GradingError("each part needs exactly one coloring")
-    color: dict[int, int] = {}
-    for part, coloring in zip(grading.parts, grading.part_colorings):
+    key: dict[int, tuple[int, int]] = {}  # (part index, part color) of each vertex
+    for i, (part, coloring) in enumerate(zip(grading.parts, grading.part_colorings)):
         if len(part) != len(coloring):
             raise GradingError("part coloring length mismatch")
         for v, c in zip(part, coloring):
             if not 0 <= v < g.n:
                 raise GradingError(f"vertex {v} not in graph")
-            if v in color:
+            if v in key:
                 raise GradingError(f"vertex {v} appears in two parts")
-            color[v] = c
+            key[v] = (i, c)
             if not 1 <= c <= grading.k:
                 raise GradingError(f"part color {c} outside 1..{grading.k}")
-    if len(color) != g.n:
+    if len(key) != g.n:
         raise GradingError("parts do not cover the vertex set")
     for u, v in g.edges():
-        if grading.part_of[u] == grading.part_of[v] and color[u] == color[v]:
+        if key[u] == key[v]:
             raise GradingError(f"part coloring is improper on edge ({u},{v})")
 
 
@@ -263,7 +255,7 @@ def rainbow_or_witness(cg: ColoredGraph, grading: Grading, s: int) -> GradingOut
     class_mask = sum(1 << v for v in class_vertices)
     ins = _color_orientation(g.masks, cg.classes, class_mask)
     arcs = tuple(sorted((u, w) for w in class_vertices for u in _bits(ins[w])))
-    pi_order = tuple(sorted(class_vertices, key=lambda v: (grading.part_of[v], v)))
+    pi_order = tuple(v for part in grading.parts for v in sorted(part) if class_mask >> v & 1)
 
     # The part colorings are proper, so no class arc stays inside one part:
     # a forward arc steps to a later part, a backward one to a preceding part.

@@ -113,23 +113,21 @@ class Coloring:
         return len(set(self.colors))
 
 
-def _color_classes(colors: Iterable[int]) -> dict[int, int]:
-    """Vertex bitmask of each color class, keyed by color in order of first
-    occurrence, so enumerating the keys gives dense 0-based color ids."""
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        classes[c] = classes.get(c, 0) | 1 << v
-    return classes
-
-
 def _proper_classes(g: Graph, coloring: Coloring) -> dict[int, int] | None:
-    """The _color_classes table of a total coloring of g, or None if some
-    edge is monochromatic. O(n): each vertex's neighbor mask is tested
-    against its color class mask."""
+    """Vertex bitmask of each color class of a total coloring of g, keyed by
+    color in order of first occurrence, so enumerating the keys gives dense
+    0-based color ids; None if some edge is monochromatic. One O(n) pass:
+    each vertex is tested against its class before it joins it, when the
+    class holds every smaller vertex of its color."""
     if coloring.n != g.n:
         raise GraphError(f"coloring covers {coloring.n} vertices, graph has {g.n}")
-    classes = _color_classes(coloring.colors)
-    return None if any(m & classes[c] for m, c in zip(g.masks, coloring.colors)) else classes
+    classes: dict[int, int] = {}
+    for v, (m, c) in enumerate(zip(g.masks, coloring.colors)):
+        cls = classes.get(c, 0)
+        if m & cls:
+            return None
+        classes[c] = cls | 1 << v
+    return classes
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:

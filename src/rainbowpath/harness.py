@@ -2,9 +2,11 @@
 graphs and record, per coloring, the longest induced rainbow path order,
 the colorful-construction color count, and the color-orientation path order.
 
-A coloring under which no induced rainbow path reaches order chi(G) is a
-candidate counterexample: it is recorded loudly in the report, never raised
-as a process failure.
+A coloring under which an exact search finds no induced rainbow path of
+order chi(G) is a candidate counterexample: it is recorded loudly in the
+report, never raised as a process failure. A search that spends its node
+budget short of chi proves nothing: its coloring is undecided, recorded
+with no witness, and the report does not hold.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ log = logging.getLogger("rainbowpath.harness")
 @dataclass(frozen=True)
 class HarnessConfig:
     """Caps and knobs for a conjecture sweep. max_nodes caps each rainbow
-    search, which then returns its best path so far and never raises."""
+    search, which then returns its best path so far and never raises; a
+    coloring whose cut-short search ends below chi is undecided."""
 
     max_colors_delta: int = 0
     coloring_cap: int = 1000
@@ -167,11 +170,13 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
     checks: list[CheckRecord] = []
     witness: tuple[int, ...] | None = None
+    undecided = False
     needed = -(-chi // 2)
 
     for coloring in colorings:
         cg = ColoredGraph(g, coloring)
-        rainbow = longest_induced_rainbow_path(cg, budget).path.order
+        search = longest_induced_rainbow_path(cg, budget)
+        rainbow = search.path.order
         gallai = gallai_roy_rainbow_path(cg)
         # the first pivot among those that see the fewest colors
         colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
@@ -185,7 +190,15 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
                 gallai_roy_order=gallai.order,
             )
         )
-        if rainbow < chi and witness is None:
+        if rainbow < chi and not search.exact:
+            # a shortfall is proved only by an exact search
+            undecided = True
+            log.warning(
+                "%s: coloring %s: rainbow search spent its %d-node budget at order %d "
+                "< chi=%d -- undecided",
+                graph_id, digest, cfg.max_nodes, rainbow, chi,
+            )
+        elif rainbow < chi and witness is None:
             witness = coloring.colors
             log.warning(
                 "%s: coloring %s has no induced rainbow path of order chi=%d "
@@ -207,7 +220,7 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
         colorings_checked=len(checks),
         truncated=truncated,
         min_rainbow_order_observed=min((r.rainbow_order for r in checks), default=0),
-        holds_for_all_checked=witness is None,
+        holds_for_all_checked=witness is None and not undecided,
         witness_coloring=witness,
         checks=tuple(checks),
     )
@@ -225,32 +238,37 @@ def report_to_json(report: ConjectureReport) -> str:
 
 @dataclass
 class CorpusSummary:
+    """Counts of a corpus run: a report with a witness is a violation, and
+    one that does not hold without a witness is undecided."""
+
     graphs_processed: int = 0
     checks_run: int = 0
     violations: int = 0
+    undecided: int = 0
     skipped: list[str] = field(default_factory=list)
     wall_time: float = 0.0
 
 
-_Result = tuple[str, str | None, str | None, int, bool]
+_Result = tuple[str, str | None, str | None, int, bool, bool]
 
 
 def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
     """Worker: returns (graph_id, json_line or None, skip_reason or None,
-    colorings_checked, holds_for_all_checked); a skipped graph checks none."""
+    colorings_checked, holds_for_all_checked, whether the report has a
+    witness); a skipped graph checks none."""
     graph_id, text, cfg = args
     try:
         g = decode_graph6(text)
     except Graph6Error as exc:
-        return graph_id, None, f"malformed graph6: {exc}", 0, True
+        return graph_id, None, f"malformed graph6: {exc}", 0, True, False
     if not is_triangle_free(g):
-        return graph_id, None, "graph contains a triangle", 0, True
+        return graph_id, None, "graph contains a triangle", 0, True, False
     try:
         report = check_graph(g, cfg, graph_id)
     except TooLargeError as exc:
-        return graph_id, None, str(exc), 0, True
+        return graph_id, None, str(exc), 0, True, False
     return (graph_id, report_to_json(report), None, report.colorings_checked,
-            report.holds_for_all_checked)
+            report.holds_for_all_checked, report.witness_coloring is not None)
 
 
 def _results(jobs: list[tuple[str, str, HarnessConfig]], parallelism: int) -> Iterator[_Result]:
@@ -282,7 +300,7 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
 
     jobs = [(f"line{lineno}", text, cfg) for lineno, text in iter_corpus(path)]
     with open(out_path, "w", encoding="ascii") as out:
-        for graph_id, line, skip_reason, checked, holds in _results(jobs, cfg.parallelism):
+        for graph_id, line, skip_reason, checked, holds, proved in _results(jobs, cfg.parallelism):
             if line is None:
                 log.warning("%s skipped: %s", graph_id, skip_reason)
                 summary.skipped.append(f"{graph_id}: {skip_reason}")
@@ -290,7 +308,9 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
             out.write(line + "\n")
             summary.graphs_processed += 1
             summary.checks_run += checked
-            if not holds:
+            if proved:
                 summary.violations += 1
+            elif not holds:
+                summary.undecided += 1
     summary.wall_time = time.perf_counter() - started
     return summary

@@ -179,10 +179,11 @@ def test_grading_procedure_soundness():
         for u, v in tr.arcs:
             assert cg.color_of(u) < cg.color_of(v) and u in members and v in members
         assert set(tr.forward_arcs) | set(tr.backward_arcs) == set(tr.arcs)
+        part_of = {v: i for i, part in enumerate(grading.parts) for v in part}
         for u, v in tr.forward_arcs:
-            assert grading.part_of[v] > grading.part_of[u]
+            assert part_of[v] > part_of[u]
         for u, v in tr.backward_arcs:
-            assert grading.part_of[v] < grading.part_of[u]
+            assert part_of[v] < part_of[u]
         for pv in (tr.forward_path, tr.backward_path):
             colors = [cg.color_of(v) for v in pv]
             assert len(set(colors)) == len(colors)

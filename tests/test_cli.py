@@ -295,6 +295,11 @@ def one_vertex_rainbow(monkeypatch):
                         lambda cg, budget: SearchResult(Path((0,)), exact=True, nodes=1))
 
 
+# Mycielski-3 (chi 5): with 5-node searches every rainbow search is cut
+# short at order 4, which proves no shortfall
+MYCIELSKI_3 = "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
+
+
 class TestCheckCommand:
     def test_c5(self, capsys, c5):
         code, out, _ = run(capsys, "check", encode_graph6(c5))
@@ -317,6 +322,15 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["holds_for_all_checked"] is False
         assert payload["witness_coloring"] == [1, 2, 1, 2, 3]
+
+    def test_spent_budget_exit_three(self, capsys, caplog):
+        code, out, _ = run(capsys, "check", MYCIELSKI_3, "--cap", "3", "--budget", "5")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["holds_for_all_checked"] is False
+        assert payload["witness_coloring"] is None
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3 and all(m.endswith("-- undecided") for m in messages)
 
 
 class TestCorpusCommand:
@@ -364,6 +378,35 @@ class TestCorpusCommand:
         [record] = map(json.loads, out_file.read_text().splitlines())
         assert record["holds_for_all_checked"] is False
         assert record["witness_coloring"] == [1, 2, 1, 2, 3]
+
+    def test_spent_budget_exit_three(self, capsys, tmp_path, c5):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(encode_graph6(c5) + "\n" + MYCIELSKI_3 + "\n")
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run(capsys, "corpus", str(corpus), "--cap", "3", "--budget", "5",
+                           "--out", str(out_file))
+        assert code == 3
+        assert "violations found: 0" in out.splitlines()
+        assert "undecided: 1" in out.splitlines()
+        c5_record, m3_record = map(json.loads, out_file.read_text().splitlines())
+        assert c5_record["holds_for_all_checked"] is True
+        assert m3_record["holds_for_all_checked"] is False
+        assert m3_record["witness_coloring"] is None
+
+    def test_violation_beats_undecided(self, capsys, tmp_path, monkeypatch, c5):
+        # C5's searches prove a one-vertex shortfall, Mycielski-3's are cut short
+        search = rainbowpath.harness.longest_induced_rainbow_path
+        monkeypatch.setattr(
+            rainbowpath.harness, "longest_induced_rainbow_path",
+            lambda cg, budget: (SearchResult(Path((0,)), exact=True, nodes=1)
+                                if cg.graph.n == 5 else search(cg, budget)))
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(MYCIELSKI_3 + "\n" + encode_graph6(c5) + "\n")
+        code, out, _ = run(capsys, "corpus", str(corpus), "--cap", "3", "--budget", "5",
+                           "--jobs", "1", "--out", str(tmp_path / "reports.jsonl"))
+        assert code == 2
+        assert "violations found: 1" in out.splitlines()
+        assert "undecided: 1" in out.splitlines()
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.g6"))

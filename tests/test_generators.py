@@ -104,6 +104,10 @@ class TestRandomTriangleFree:
         with pytest.raises(GraphError):
             random_triangle_free(5, 1.5, seed=0)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="^vertex count must be non-negative$"):
+            random_triangle_free(-1, 0.3, seed=0)
+
 
 class TestGeneratorSpec:
     """The generate command's --kind table: parsed arguments -> the graphs it emits."""

@@ -27,7 +27,7 @@ from rainbowpath import (
     validate_grading,
     whole_graph_grading,
 )
-from rainbowpath.grading import GradingError, verify_witness_outcome
+from rainbowpath.grading import GradingError, Witness, verify_witness_outcome
 
 from helpers import naive_longest_directed_path, random_proper_coloring
 from test_graphs import graphs
@@ -85,6 +85,21 @@ class TestGradingValidation:
         with pytest.raises(GradingError):
             validate_grading(c5, gr)
 
+    @pytest.mark.parametrize("parts, part_colorings, k, message", [
+        pytest.param(((0, 1, 2, 3, 4),), ((1, 2, 1, 2, 3),), 0, "k must be positive",
+                     id="k-below-one"),
+        pytest.param(((0, 1, 2), (3, 4)), ((1, 2, 1),), 2, "each part needs exactly one coloring",
+                     id="part-count"),
+        pytest.param(((0, 1, 2), (3, 4)), ((1, 2, 1), (1,)), 2, "part coloring length mismatch",
+                     id="part-length"),
+        pytest.param(((0, 1, 2), (3, 5)), ((1, 2, 1), (1, 2)), 2, "vertex 5 not in graph",
+                     id="vertex-out-of-range"),
+    ])
+    def test_malformed_grading_rejected(self, c5, parts, part_colorings, k, message):
+        gr = Grading(parts=parts, part_colorings=part_colorings, k=k)
+        with pytest.raises(GradingError, match=f"^{message}$"):
+            validate_grading(c5, gr)
+
 
 class TestRefineGrading:
     def test_single_part_gives_color_classes(self, c5, c5_colored):
@@ -102,8 +117,8 @@ class TestRefineGrading:
         )
         classes = refine_grading(c5_colored, gr)
         assert classes == ((0, 2, 3), (1, 4))
-        assert gr.part_of[0] == 0 and 0 in classes[0]
-        assert gr.part_of[4] == 1 and 4 in classes[1]
+        assert 0 in gr.parts[0] and 0 in classes[0]
+        assert 4 in gr.parts[1] and 4 in classes[1]
 
     def test_classes_meet_parts_independently(self, c5, c5_colored):
         gr = Grading(
@@ -114,7 +129,7 @@ class TestRefineGrading:
         g = c5
         for cls in refine_grading(c5_colored, gr):
             for i in range(len(gr.parts)):
-                inside = [v for v in cls if gr.part_of[v] == i]
+                inside = [v for v in cls if v in gr.parts[i]]
                 for a in inside:
                     for b in inside:
                         assert a == b or not g.has_edge(a, b)
@@ -141,6 +156,19 @@ class TestProcedureOutcomes:
             assert outcome.witness.vertex == 0
             assert outcome.witness.later_neighbors == tuple(range(1, s + 1))
             assert verify_witness_outcome(cg, gr, outcome.witness, s)
+
+    def test_witness_takes_the_smallest_id_of_each_color(self):
+        # K1,4 with two leaves of color 2: the witness keeps leaf 1, the
+        # smaller of them, then the leaves of colors 3 and 4
+        star = build_graph(5, [(0, i) for i in range(1, 5)])
+        cg = ColoredGraph(star, Coloring((1, 2, 2, 3, 4)))
+        grading = singleton_grading(star)
+        outcome = rainbow_or_witness(cg, grading, 3)
+        assert outcome.kind is OutcomeKind.WITNESS
+        assert outcome.witness == Witness(vertex=0, later_neighbors=(1, 3, 4))
+        # the witness check refuses too few neighbors, a repeated one, a repeated color
+        for later_neighbors in ((1, 3), (1, 1, 3), (1, 2, 3)):
+            assert not verify_witness_outcome(cg, grading, Witness(0, later_neighbors), 3)
 
     def test_rejects_small_s(self, c5_colored, c5):
         with pytest.raises(GradingError):
@@ -187,10 +215,11 @@ class TestTraceInvariants:
 
         # arc direction vs grading parts: forward arcs land strictly later,
         # backward arcs strictly earlier (no arc stays inside one part)
+        part_of = {v: i for i, part in enumerate(grading.parts) for v in part}
         for u, v in tr.forward_arcs:
-            assert grading.part_of[v] > grading.part_of[u]
+            assert part_of[v] > part_of[u]
         for u, v in tr.backward_arcs:
-            assert grading.part_of[v] < grading.part_of[u]
+            assert part_of[v] < part_of[u]
 
         # inside a longest path's vertex set every class arc is one of its
         # side's arcs, so the witness scan and the BFS read the orientation

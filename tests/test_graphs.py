@@ -10,6 +10,7 @@ from rainbowpath import (
     Coloring,
     Graph,
     GraphError,
+    Path,
     build_graph,
     classify_path,
     connected_components,
@@ -65,6 +66,10 @@ class TestBuildGraph:
     def test_self_loop(self):
         with pytest.raises(GraphError):
             build_graph(3, [(1, 1)])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="^vertex count must be non-negative$"):
+            build_graph(-1, [])
 
     def test_empty_graph_is_legal(self):
         g = build_graph(0, [])
@@ -189,6 +194,14 @@ class TestClassifyPath:
             classify_path(c5_colored, (0, 2))
         with pytest.raises(GraphError):
             classify_path(c5_colored, (0, 1, 0))
+
+    def test_rejects_vertex_outside_graph(self, c5_colored):
+        with pytest.raises(GraphError, match="^vertex 5 not in graph$"):
+            classify_path(c5_colored, (4, 5))
+
+    def test_path_needs_a_vertex(self):
+        with pytest.raises(GraphError, match="^a path has at least one vertex$"):
+            Path(())
 
 
 class TestWalkBack:

@@ -25,8 +25,9 @@ from rainbowpath import (
     report_to_json,
     run_corpus,
 )
-from rainbowpath.graphs import GraphError
+from rainbowpath.graphs import GraphError, Path as GraphPath
 from rainbowpath.harness import coloring_digest
+from rainbowpath.oracle import SearchResult
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,17 +121,17 @@ class TestCheckGraph:
         built = []
 
         def counted(original):
-            def build(colors):
-                built.append(colors)
-                return original(colors)
+            def build(g, coloring):
+                built.append(coloring)
+                return original(g, coloring)
             return build
 
         modules = [importlib.import_module(f"rainbowpath.{m.name}")
                    for m in pkgutil.iter_modules(rainbowpath.__path__) if m.name != "__main__"]
-        binding = [m for m in modules if "_color_classes" in vars(m)]
+        binding = [m for m in modules if "_proper_classes" in vars(m)]
         assert binding
         for module in binding:
-            monkeypatch.setattr(module, "_color_classes", counted(module._color_classes))
+            monkeypatch.setattr(module, "_proper_classes", counted(module._proper_classes))
         report = check_graph(request.getfixturevalue(name), HarnessConfig(coloring_cap=cap))
         assert report.colorings_checked == colorings
         assert len(built) == colorings
@@ -182,6 +183,8 @@ class TestCheckGraph:
         g = mycielski_iterates(depth)[-1]
         report = check_graph(g, HarnessConfig(coloring_cap=cap, max_nodes=max_nodes))
         assert report.colorings_checked == cap
+        # a cut-short search proves no shortfall, so it never gives a witness
+        assert report.witness_coloring is None
 
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("coloring_cap", 0, "caps must be positive", id="coloring_cap"),
@@ -207,19 +210,37 @@ class TestWarnings:
     """Both check_graph warnings name the graph and the coloring's digest,
     the key of its record in the report."""
 
-    def test_violation_candidate_names_coloring_digest(self, caplog):
+    def test_violation_candidate_names_coloring_digest(self, caplog, monkeypatch, c5):
+        # every search proves its best path has one vertex, an exact
+        # shortfall, so the first coloring is reported as a candidate
+        monkeypatch.setattr(rainbowpath.harness, "longest_induced_rainbow_path",
+                            lambda cg, budget: SearchResult(GraphPath((0,)), exact=True, nodes=1))
+        with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
+            report = check_graph(c5, HarnessConfig(coloring_cap=3), graph_id="c5")
+        digest = coloring_digest(Coloring(report.witness_coloring))
+        assert digest == report.checks[0].coloring_digest
+        [message] = [m for m in (r.getMessage() for r in caplog.records) if "violation candidate" in m]
+        assert message.startswith(f"c5: coloring {digest} has no induced rainbow path")
+        assert str(report.witness_coloring) not in message
+        assert not report.holds_for_all_checked
+
+    def test_spent_budget_is_undecided(self, caplog):
         # Mycielski-3 with 5-node searches: every rainbow search is cut
-        # short, so the first coloring is reported as a candidate
+        # short below chi, which proves nothing, so no coloring is a
+        # candidate and each is reported undecided with its digest
         g = mycielski_iterates(3)[-1]
         assert encode_graph6(g) == "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
         cfg = HarnessConfig(coloring_cap=3, max_nodes=5)
         with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
             report = check_graph(g, cfg, graph_id="m3")
-        digest = coloring_digest(Coloring(report.witness_coloring))
-        assert digest == report.checks[0].coloring_digest
-        [message] = [m for m in (r.getMessage() for r in caplog.records) if "violation candidate" in m]
-        assert message.startswith(f"m3: coloring {digest} has no induced rainbow path")
-        assert str(report.witness_coloring) not in message
+        assert report.witness_coloring is None and not report.holds_for_all_checked
+        messages = [r.getMessage() for r in caplog.records]
+        assert not [m for m in messages if "violation candidate" in m]
+        assert messages == [
+            f"m3: coloring {r.coloring_digest}: rainbow search spent its 5-node budget at order "
+            f"{r.rainbow_order} < chi=5 -- undecided"
+            for r in report.checks
+        ]
 
     def test_colorful_shortfall_names_coloring_digest(self, caplog, monkeypatch, c5):
         monkeypatch.setattr(rainbowpath.harness, "_colorful_count", lambda cg, start, chi: 1)
