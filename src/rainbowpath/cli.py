@@ -24,7 +24,7 @@ from .graph6 import decode_graph6, encode_graph6
 from .graphs import (ColoredGraph, Coloring, GraphError, classify_path, connected_components,
                      induced_subgraph)
 from .grading import Grading, GradingOutcome, OutcomeKind, rainbow_or_witness
-from .harness import HarnessConfig, check_graph, report_to_json, run_corpus
+from .harness import HarnessConfig, check_graph, report_to_json, run_corpus, verdict
 from .oracle import (
     SearchBudget,
     gallai_roy_rainbow_path,
@@ -243,9 +243,7 @@ def _cmd_check(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(line + "\n")
     print(line)
-    if report.holds_for_all_checked:
-        return 0
-    return 2 if report.witness_coloring is not None else 3
+    return verdict(report)
 
 
 def _cmd_corpus(args) -> int:

@@ -7,6 +7,13 @@ order chi(G) is a candidate counterexample: it is recorded loudly in the
 report, never raised as a process failure. A search that spends its node
 budget short of chi proves nothing: its coloring is undecided, recorded
 with no witness, and the report does not hold.
+
+check_graph runs source -> probe -> fold: the coloring source picks the
+colorings (enumeration up to the cap, then seeded samples), the probe runs
+the three searches under one coloring, and the fold turns the records into
+a ConjectureReport. verdict(report) is the one place that reads a report
+as 0 (holds), 2 (proved violation) or 3 (undecided); the `check` exit code
+and the corpus counts both come from it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path as FilePath
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .chromatic import TooLargeError, canonical_form, chromatic_number, iter_colorings
 from .colorful import colorful_path_from
@@ -89,38 +96,11 @@ class ConjectureReport:
 
 def coloring_digest(coloring: Coloring) -> str:
     """Short hash of a canonical coloring's colors, hashed as given: every
-    coloring check_graph sweeps is already canonical (iter_colorings emits
-    canonical forms and _sample_colorings canonicalizes its samples)."""
+    coloring check_graph sweeps is already canonical (the coloring source,
+    _coloring_source, takes the canonical forms iter_colorings emits and
+    canonicalizes its samples)."""
     payload = ",".join(str(c) for c in coloring.colors).encode("ascii")
     return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def _sample_colorings(g: Graph, max_colors: int, count: int, rng: random.Random,
-                      seen: set[tuple[int, ...]]) -> list[Coloring]:
-    """Best-effort random proper colorings beyond the enumeration cap."""
-    out: list[Coloring] = []
-    attempts = 0
-    while len(out) < count and attempts < 20 * count:
-        attempts += 1
-        order = list(range(g.n))
-        rng.shuffle(order)
-        colors = [0] * g.n
-        ok = True
-        for v in order:
-            banned = {colors[u] for u in g.neighbors(v) if colors[u]}
-            options = [c for c in range(1, max_colors + 1) if c not in banned]
-            if not options:
-                ok = False
-                break
-            colors[v] = rng.choice(options)
-        if not ok:
-            continue
-        canon = canonical_form(Coloring(tuple(colors)))
-        if canon.colors in seen:
-            continue
-        seen.add(canon.colors)
-        out.append(canon)
-    return out
 
 
 def _colorful_pivots(g: Graph, chi: int, thorough: bool) -> list[int]:
@@ -142,74 +122,101 @@ def _colorful_count(cg: ColoredGraph, start: int, chi: int) -> int:
     return len({cg.color_of(v) for v in result.path.vertices})
 
 
-def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> ConjectureReport:
-    """Sweep proper colorings of one triangle-free graph.
+def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
+                     graph_id: str) -> tuple[list[Coloring], bool]:
+    """The colorings to sweep and whether the enumeration was truncated.
 
-    Enumerates canonical colorings with at most chi + max_colors_delta colors
-    up to the cap, optionally tops up with seeded random samples, and runs
-    the three probes under every coloring. The colorful construction starts
-    from the pivots of _colorful_pivots and stays in their component, so a
-    disconnected graph takes the same path as a connected one. The empty
-    graph is checked under no coloring, whatever the delta.
+    The canonical proper colorings with at most chi + max_colors_delta
+    colors, up to the cap; past a truncation, up to extra_samples more
+    drawn from an rng seeded with the config's seed and the graph id:
+    random proper colorings, canonicalized, new ones only, best effort
+    within 20 attempts per sample.
     """
-    if not is_triangle_free(g):
-        raise GraphError(f"{graph_id}: graph contains a triangle")
-    chi = chromatic_number(g).chi
     # no coloring of n vertices uses more than n colors; the empty graph's one
     # coloring would leave the probes nothing to search, so it is not swept
     max_colors = min(chi + cfg.max_colors_delta, g.n)
     enumerated = iter_colorings(g, max_colors) if g.n else iter(())
     colorings = list(islice(enumerated, cfg.coloring_cap))
     truncated = next(enumerated, None) is not None
-    if truncated and cfg.extra_samples:
-        rng = random.Random(f"{cfg.seed}:{graph_id}")
-        seen = {c.colors for c in colorings}
-        colorings.extend(_sample_colorings(g, max_colors, cfg.extra_samples, rng, seen))
+    if not (truncated and cfg.extra_samples):
+        return colorings, truncated
+    rng = random.Random(f"{cfg.seed}:{graph_id}")
+    seen = {c.colors for c in colorings}
+    wanted = len(colorings) + cfg.extra_samples
+    for _ in range(20 * cfg.extra_samples):
+        if len(colorings) == wanted:
+            break
+        order = list(range(g.n))
+        rng.shuffle(order)
+        colors = [0] * g.n
+        for v in order:
+            banned = {colors[u] for u in g.neighbors(v)}
+            options = [c for c in range(1, max_colors + 1) if c not in banned]
+            if not options:
+                break
+            colors[v] = rng.choice(options)
+        else:
+            canon = canonical_form(Coloring(tuple(colors)))
+            if canon.colors not in seen:
+                seen.add(canon.colors)
+                colorings.append(canon)
+    return colorings, truncated
 
-    pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
-    budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
+
+def _probe(cg: ColoredGraph, chi: int, pivots: list[int],
+           budget: SearchBudget) -> tuple[CheckRecord, bool]:
+    """The three probes under one coloring: its record, and whether the
+    rainbow search was exact."""
+    search = longest_induced_rainbow_path(cg, budget)
+    # the first pivot among those that see the fewest colors
+    colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
+    record = CheckRecord(
+        coloring_digest=coloring_digest(cg.coloring),
+        rainbow_order=search.path.order,
+        colorful_colors=colorful_colors,
+        colorful_pivot=colorful_pivot,
+        gallai_roy_order=gallai_roy_rainbow_path(cg).order,
+    )
+    return record, search.exact
+
+
+def _warn(graph_id: str, record: CheckRecord, message: str, *args: object) -> None:
+    """Log a finding about one coloring, named by the graph id and the
+    coloring's digest, the key of its record in the report."""
+    log.warning("%s: coloring %s" + message, graph_id, record.coloring_digest, *args)
+
+
+def _fold(g: Graph, cfg: HarnessConfig, graph_id: str, chi: int, truncated: bool,
+          probed: Iterable[tuple[Coloring, tuple[CheckRecord, bool]]]) -> ConjectureReport:
+    """The report of a sweep, from each coloring with its probe's result.
+
+    Only an exact search proves a shortfall below chi: the first such
+    coloring is the witness. A shortfall of a search cut short is
+    undecided. Each shortfall, each colorful construction below ceil(chi/2)
+    colors and each color-orientation path below chi (which the
+    Gallai-Roy theorem rules out) is logged with the coloring's digest.
+    """
     checks: list[CheckRecord] = []
     witness: tuple[int, ...] | None = None
     undecided = False
     needed = -(-chi // 2)
-
-    for coloring in colorings:
-        cg = ColoredGraph(g, coloring)
-        search = longest_induced_rainbow_path(cg, budget)
-        rainbow = search.path.order
-        gallai = gallai_roy_rainbow_path(cg)
-        # the first pivot among those that see the fewest colors
-        colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
-        digest = coloring_digest(coloring)
-        checks.append(
-            CheckRecord(
-                coloring_digest=digest,
-                rainbow_order=rainbow,
-                colorful_colors=colorful_colors,
-                colorful_pivot=colorful_pivot,
-                gallai_roy_order=gallai.order,
-            )
-        )
-        if rainbow < chi and not search.exact:
-            # a shortfall is proved only by an exact search
+    for coloring, (record, exact) in probed:
+        checks.append(record)
+        rainbow = record.rainbow_order
+        if rainbow < chi and not exact:
             undecided = True
-            log.warning(
-                "%s: coloring %s: rainbow search spent its %d-node budget at order %d "
-                "< chi=%d -- undecided",
-                graph_id, digest, cfg.max_nodes, rainbow, chi,
-            )
+            _warn(graph_id, record, ": rainbow search spent its %d-node budget at order %d "
+                  "< chi=%d -- undecided", cfg.max_nodes, rainbow, chi)
         elif rainbow < chi and witness is None:
             witness = coloring.colors
-            log.warning(
-                "%s: coloring %s has no induced rainbow path of order chi=%d "
-                "(best %d) -- conjecture violation candidate",
-                graph_id, digest, chi, rainbow,
-            )
-        if colorful_colors < needed:
-            log.warning(
-                "%s: coloring %s: colorful construction saw %d colors, expected >= %d",
-                graph_id, digest, colorful_colors, needed,
-            )
+            _warn(graph_id, record, " has no induced rainbow path of order chi=%d (best %d) "
+                  "-- conjecture violation candidate", chi, rainbow)
+        if record.colorful_colors < needed:
+            _warn(graph_id, record, ": colorful construction saw %d colors, expected >= %d",
+                  record.colorful_colors, needed)
+        if record.gallai_roy_order < chi:
+            _warn(graph_id, record, ": color-orientation path has order %d, expected >= chi=%d "
+                  "(Gallai-Roy)", record.gallai_roy_order, chi)
 
     return ConjectureReport(
         graph_id=graph_id,
@@ -226,6 +233,36 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     )
 
 
+def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> ConjectureReport:
+    """Sweep proper colorings of one triangle-free graph.
+
+    Source, probe, fold: _coloring_source picks the colorings, _probe runs
+    the three probes under each, and _fold turns their records into the
+    report. The colorful construction starts from the pivots of
+    _colorful_pivots and stays in their component, so a disconnected graph
+    takes the same path as a connected one. The empty graph is checked
+    under no coloring, whatever the delta.
+    """
+    if not is_triangle_free(g):
+        raise GraphError(f"{graph_id}: graph contains a triangle")
+    chi = chromatic_number(g).chi
+    colorings, truncated = _coloring_source(g, chi, cfg, graph_id)
+    pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
+    budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
+    probed = (_probe(ColoredGraph(g, c), chi, pivots, budget) for c in colorings)
+    return _fold(g, cfg, graph_id, chi, truncated, zip(colorings, probed))
+
+
+def verdict(report: ConjectureReport) -> int:
+    """The report's verdict, which is also the exit code of `check`: 0 when
+    the conjecture holds under every coloring checked, 2 for a violation
+    proved by an exact search (the report has a witness), 3 when a search
+    was cut short below chi and none proved a violation (undecided)."""
+    if report.holds_for_all_checked:
+        return 0
+    return 2 if report.witness_coloring is not None else 3
+
+
 def report_to_json(report: ConjectureReport) -> str:
     """Stable single-line JSON rendering: the fields of ConjectureReport and
     CheckRecord in their declaration order, no timestamps.
@@ -238,8 +275,8 @@ def report_to_json(report: ConjectureReport) -> str:
 
 @dataclass
 class CorpusSummary:
-    """Counts of a corpus run: a report with a witness is a violation, and
-    one that does not hold without a witness is undecided."""
+    """Counts of a corpus run: a report of verdict 2 is a violation, and one
+    of verdict 3 is undecided."""
 
     graphs_processed: int = 0
     checks_run: int = 0
@@ -249,26 +286,24 @@ class CorpusSummary:
     wall_time: float = 0.0
 
 
-_Result = tuple[str, str | None, str | None, int, bool, bool]
+_Result = tuple[str, str | None, str | None, int, int]
 
 
 def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
     """Worker: returns (graph_id, json_line or None, skip_reason or None,
-    colorings_checked, holds_for_all_checked, whether the report has a
-    witness); a skipped graph checks none."""
+    colorings_checked, verdict); a skipped graph checks none, at verdict 0."""
     graph_id, text, cfg = args
     try:
         g = decode_graph6(text)
     except Graph6Error as exc:
-        return graph_id, None, f"malformed graph6: {exc}", 0, True, False
+        return graph_id, None, f"malformed graph6: {exc}", 0, 0
     if not is_triangle_free(g):
-        return graph_id, None, "graph contains a triangle", 0, True, False
+        return graph_id, None, "graph contains a triangle", 0, 0
     try:
         report = check_graph(g, cfg, graph_id)
     except TooLargeError as exc:
-        return graph_id, None, str(exc), 0, True, False
-    return (graph_id, report_to_json(report), None, report.colorings_checked,
-            report.holds_for_all_checked, report.witness_coloring is not None)
+        return graph_id, None, str(exc), 0, 0
+    return graph_id, report_to_json(report), None, report.colorings_checked, verdict(report)
 
 
 def _results(jobs: list[tuple[str, str, HarnessConfig]], parallelism: int) -> Iterator[_Result]:
@@ -300,7 +335,7 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
 
     jobs = [(f"line{lineno}", text, cfg) for lineno, text in iter_corpus(path)]
     with open(out_path, "w", encoding="ascii") as out:
-        for graph_id, line, skip_reason, checked, holds, proved in _results(jobs, cfg.parallelism):
+        for graph_id, line, skip_reason, checked, code in _results(jobs, cfg.parallelism):
             if line is None:
                 log.warning("%s skipped: %s", graph_id, skip_reason)
                 summary.skipped.append(f"{graph_id}: {skip_reason}")
@@ -308,9 +343,7 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
             out.write(line + "\n")
             summary.graphs_processed += 1
             summary.checks_run += checked
-            if proved:
-                summary.violations += 1
-            elif not holds:
-                summary.undecided += 1
+            summary.violations += code == 2
+            summary.undecided += code == 3
     summary.wall_time = time.perf_counter() - started
     return summary

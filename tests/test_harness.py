@@ -27,7 +27,7 @@ from rainbowpath import (
 )
 from rainbowpath.graphs import GraphError, Path as GraphPath
 from rainbowpath.harness import coloring_digest
-from rainbowpath.oracle import SearchResult
+from rainbowpath.oracle import GallaiRoyPath, SearchResult
 
 DATA = Path(__file__).parent / "data"
 
@@ -251,6 +251,20 @@ class TestWarnings:
             for r in report.checks
         ]
 
+    def test_gallai_roy_shortfall_names_coloring_digest(self, caplog, monkeypatch, c5):
+        # a color-orientation path below chi contradicts the Gallai-Roy
+        # theorem: each one is logged, and the verdict does not change
+        monkeypatch.setattr(rainbowpath.harness, "gallai_roy_rainbow_path",
+                            lambda cg: GallaiRoyPath(levels=(1,), masks=cg.graph.masks))
+        with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
+            report = check_graph(c5, HarnessConfig(coloring_cap=2), graph_id="c5")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"c5: coloring {r.coloring_digest}: color-orientation path has order 1, "
+            f"expected >= chi=3 (Gallai-Roy)"
+            for r in report.checks
+        ]
+        assert report.holds_for_all_checked and report.colorings_checked == 2
+
 
 class TestRunCorpus:
     def write(self, tmp_path, lines):
@@ -318,13 +332,24 @@ class TestRunCorpus:
         assert outs[0] == outs[1]
 
     def test_parallel_matches_serial(self, tmp_path, c5):
-        lines = [encode_graph6(g) for g in mycielski_iterates(1)] + [encode_graph6(c5)]
-        path = self.write(tmp_path, lines)
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        run_corpus(path, HarnessConfig(coloring_cap=30, output_path=str(serial)))
-        run_corpus(path, HarnessConfig(coloring_cap=30, output_path=str(parallel), parallelism=2))
-        assert serial.read_bytes() == parallel.read_bytes()
+        # the second corpus has an undecided report (Mycielski-3's 5-node
+        # searches stop below chi), so verdicts cross the pool of both kinds
+        m3 = mycielski_iterates(3)[-1]
+        corpora = [
+            ([encode_graph6(g) for g in mycielski_iterates(1)] + [encode_graph6(c5)],
+             {"coloring_cap": 30}),
+            ([encode_graph6(m3), encode_graph6(c5)], {"coloring_cap": 3, "max_nodes": 5}),
+        ]
+        for i, (lines, knobs) in enumerate(corpora):
+            path = self.write(tmp_path, lines)
+            serial = tmp_path / f"serial{i}.jsonl"
+            parallel = tmp_path / f"parallel{i}.jsonl"
+            one = run_corpus(path, HarnessConfig(**knobs, output_path=str(serial)))
+            two = run_corpus(path, HarnessConfig(**knobs, output_path=str(parallel), parallelism=2))
+            assert serial.read_bytes() == parallel.read_bytes()
+            counts = [(s.checks_run, s.violations, s.undecided) for s in (one, two)]
+            assert counts[0] == counts[1]
+        assert counts[0] == (6, 0, 1)
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (64, 8, 3),  # no more workers than graphs
