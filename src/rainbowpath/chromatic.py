@@ -32,7 +32,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Coloring, Graph, GraphError, _bits, _layers, _walk_back
+from .graphs import (ColoredGraph, Coloring, Graph, GraphError, _bits, _layers,
+                     _proved_colored_graph, _walk_back)
 
 
 MAX_VERTICES = 64
@@ -253,8 +254,9 @@ def canonical_form(coloring: Coloring) -> Coloring:
     return Coloring(tuple(out))
 
 
-def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
-    """Stream canonical proper colorings of g using at most max_colors colors.
+def iter_colorings(g: Graph, max_colors: int) -> Iterator[ColoredGraph]:
+    """Stream the canonical proper colorings of g using at most max_colors
+    colors, each as a ColoredGraph of g with its class table.
 
     Canonical means colors are named by first occurrence along vertex order,
     so no two emitted colorings are color permutations of each other. Emission
@@ -264,8 +266,12 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
     recursion: color c is free for v when lower[v] & members[c] is empty,
     where lower[v] masks v's smaller neighbors and members[c] the vertices
     colored c, and used[v] is the largest color among vertices before v.
-    max_colors is capped at n, which no coloring of n vertices exceeds, so
-    the tables stay O(n); the empty graph's one coloring uses 0 colors.
+    That test is the properness proof, and members is the class table: a
+    canonical coloring uses colors 1..used[n] in order of first occurrence,
+    the order graphs._proper_classes keys its table in. So each coloring is
+    emitted without a second properness pass. max_colors is capped at n,
+    which no coloring of n vertices exceeds, so the tables stay O(n); the
+    empty graph's one coloring uses 0 colors.
     """
     if max_colors < 0:
         return
@@ -278,7 +284,8 @@ def iter_colorings(g: Graph, max_colors: int) -> Iterator[Coloring]:
     v = 0
     while v >= 0:
         if v == n:
-            yield Coloring(tuple(colors))
+            classes = dict(enumerate(members[1:used[n] + 1], 1))
+            yield _proved_colored_graph(g, Coloring(tuple(colors)), classes)
             v -= 1
             continue
         c = colors[v]

@@ -101,7 +101,7 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 1 for c in self.colors):
+        if min(self.colors, default=1) < 1:
             raise GraphError("colors must be positive integers")
 
     @property
@@ -138,7 +138,13 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 @dataclass(frozen=True)
 class ColoredGraph:
     """A graph together with a verified proper coloring, and the coloring's
-    class table, built once by the properness check for every probe to read."""
+    class table for every probe to read.
+
+    ColoredGraph(graph, coloring) is the public, validating constructor: the
+    properness check, _proper_classes, builds the class table. The colorings
+    iter_colorings enumerates are proper by construction and arrive with
+    their class table, through _proved_colored_graph.
+    """
 
     graph: Graph
     coloring: Coloring
@@ -152,6 +158,16 @@ class ColoredGraph:
 
     def color_of(self, v: int) -> int:
         return self.coloring.colors[v]
+
+
+def _proved_colored_graph(graph: Graph, coloring: Coloring,
+                          classes: dict[int, int]) -> ColoredGraph:
+    """A ColoredGraph built without the properness check, for a caller that
+    has proved coloring proper on graph and built classes as _proper_classes
+    would: each color's vertex bitmask, keyed in order of first occurrence."""
+    cg = object.__new__(ColoredGraph)
+    vars(cg).update(graph=graph, coloring=coloring, classes=classes)
+    return cg
 
 
 @dataclass(frozen=True)

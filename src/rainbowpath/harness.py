@@ -29,7 +29,8 @@ from itertools import islice
 from pathlib import Path as FilePath
 from typing import Iterable, Iterator
 
-from .chromatic import TooLargeError, canonical_form, chromatic_number, iter_colorings
+from .chromatic import (MAX_VERTICES, TooLargeError, canonical_form, chromatic_number,
+                        iter_colorings)
 from .colorful import colorful_path_from
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, iter_corpus
 from .graphs import (
@@ -94,12 +95,21 @@ class ConjectureReport:
     checks: tuple[CheckRecord, ...]
 
 
+# the decimal text of every color a swept coloring can use
+_TEXT = tuple(str(c) for c in range(MAX_VERTICES + 1))
+
+
 def coloring_digest(coloring: Coloring) -> str:
     """Short hash of a canonical coloring's colors, hashed as given: every
     coloring check_graph sweeps is already canonical (the coloring source,
     _coloring_source, takes the canonical forms iter_colorings emits and
-    canonicalizes its samples)."""
-    payload = ",".join(str(c) for c in coloring.colors).encode("ascii")
+    canonicalizes its samples).
+
+    Every color must be at most MAX_VERTICES. A swept coloring meets this:
+    it uses at most n colors, and chromatic_number refuses graphs above
+    MAX_VERTICES vertices. The payload is the colors' decimal text joined
+    by commas, read from a table."""
+    payload = ",".join([_TEXT[c] for c in coloring.colors]).encode("ascii")
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -123,14 +133,16 @@ def _colorful_count(cg: ColoredGraph, start: int, chi: int) -> int:
 
 
 def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
-                     graph_id: str) -> tuple[list[Coloring], bool]:
-    """The colorings to sweep and whether the enumeration was truncated.
+                     graph_id: str) -> tuple[list[ColoredGraph], bool]:
+    """The colorings to sweep, as ColoredGraphs of g, and whether the
+    enumeration was truncated.
 
     The canonical proper colorings with at most chi + max_colors_delta
-    colors, up to the cap; past a truncation, up to extra_samples more
-    drawn from an rng seeded with the config's seed and the graph id:
-    random proper colorings, canonicalized, new ones only, best effort
-    within 20 attempts per sample.
+    colors, up to the cap, as iter_colorings emits them, class tables
+    included; past a truncation, up to extra_samples more drawn from an
+    rng seeded with the config's seed and the graph id: random proper
+    colorings, canonicalized, new ones only, best effort within 20
+    attempts per sample, each checked by the validating ColoredGraph.
     """
     # no coloring of n vertices uses more than n colors; the empty graph's one
     # coloring would leave the probes nothing to search, so it is not swept
@@ -141,7 +153,7 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
     if not (truncated and cfg.extra_samples):
         return colorings, truncated
     rng = random.Random(f"{cfg.seed}:{graph_id}")
-    seen = {c.colors for c in colorings}
+    seen = {cg.coloring.colors for cg in colorings}
     wanted = len(colorings) + cfg.extra_samples
     for _ in range(20 * cfg.extra_samples):
         if len(colorings) == wanted:
@@ -159,7 +171,7 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
             canon = canonical_form(Coloring(tuple(colors)))
             if canon.colors not in seen:
                 seen.add(canon.colors)
-                colorings.append(canon)
+                colorings.append(ColoredGraph(g, canon))
     return colorings, truncated
 
 
@@ -187,7 +199,7 @@ def _warn(graph_id: str, record: CheckRecord, message: str, *args: object) -> No
 
 
 def _fold(g: Graph, cfg: HarnessConfig, graph_id: str, chi: int, truncated: bool,
-          probed: Iterable[tuple[Coloring, tuple[CheckRecord, bool]]]) -> ConjectureReport:
+          probed: Iterable[tuple[ColoredGraph, tuple[CheckRecord, bool]]]) -> ConjectureReport:
     """The report of a sweep, from each coloring with its probe's result.
 
     Only an exact search proves a shortfall below chi: the first such
@@ -200,7 +212,7 @@ def _fold(g: Graph, cfg: HarnessConfig, graph_id: str, chi: int, truncated: bool
     witness: tuple[int, ...] | None = None
     undecided = False
     needed = -(-chi // 2)
-    for coloring, (record, exact) in probed:
+    for cg, (record, exact) in probed:
         checks.append(record)
         rainbow = record.rainbow_order
         if rainbow < chi and not exact:
@@ -208,7 +220,7 @@ def _fold(g: Graph, cfg: HarnessConfig, graph_id: str, chi: int, truncated: bool
             _warn(graph_id, record, ": rainbow search spent its %d-node budget at order %d "
                   "< chi=%d -- undecided", cfg.max_nodes, rainbow, chi)
         elif rainbow < chi and witness is None:
-            witness = coloring.colors
+            witness = cg.coloring.colors
             _warn(graph_id, record, " has no induced rainbow path of order chi=%d (best %d) "
                   "-- conjecture violation candidate", chi, rainbow)
         if record.colorful_colors < needed:
@@ -249,7 +261,7 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     colorings, truncated = _coloring_source(g, chi, cfg, graph_id)
     pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
     budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
-    probed = (_probe(ColoredGraph(g, c), chi, pivots, budget) for c in colorings)
+    probed = (_probe(cg, chi, pivots, budget) for cg in colorings)
     return _fold(g, cfg, graph_id, chi, truncated, zip(colorings, probed))
 
 

@@ -7,6 +7,7 @@ package's pruned bitmask searches.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -239,6 +240,14 @@ def naive_k_colorable(g: Graph, k: int) -> Coloring | None:
         return False
 
     return Coloring(tuple(colors)) if extend(0) else None
+
+
+def naive_coloring_digest(coloring: Coloring) -> str:
+    """The coloring digest as first defined: each color formatted by str()
+    in a generator, joined by commas, and the first 16 hex digits of its
+    SHA-256."""
+    payload = ",".join(str(c) for c in coloring.colors).encode("ascii")
+    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def naive_canonical_colorings(g: Graph, max_colors: int) -> set[tuple[int, ...]]:

@@ -50,8 +50,8 @@ def optimal_colorings(g, cap):
     """First `cap` canonical colorings using exactly chi colors."""
     chi = chromatic_number(g).chi
     out = []
-    for coloring in iter_colorings(g, chi):
-        out.append(coloring)
+    for cg in iter_colorings(g, chi):
+        out.append(cg)
         if len(out) == cap:
             break
     return chi, out
@@ -106,8 +106,7 @@ def test_gallai_roy_property(named_corpus, random_corpus):
         assert is_triangle_free(g)
         chi = chromatic_number(g).chi
         count = 0
-        for coloring in iter_colorings(g, chi):
-            cg = ColoredGraph(g, coloring)
+        for cg in iter_colorings(g, chi):
             path = gallai_roy_rainbow_path(cg)
             colors = [cg.color_of(v) for v in path.vertices]
             assert all(a < b for a, b in zip(colors, colors[1:]))
@@ -143,8 +142,7 @@ def test_colorful_construction(named_corpus, random_corpus):
             continue
         graphs_used += 1
         needed = -(-chi // 2)
-        for coloring in colorings:
-            cg = ColoredGraph(g, coloring)
+        for cg in colorings:
             for v in range(g.n):
                 result = colorful_path_from(cg, v, chi)
                 report = classify_path(cg, result.path.vertices)

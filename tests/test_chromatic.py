@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from rainbowpath import (
     random_triangle_free,
 )
 from rainbowpath.chromatic import TooLargeError, _k_colorable, _odd_cycle
+from rainbowpath.graphs import _proper_classes
 from helpers import (
     dense_graph,
     every_graph,
@@ -352,18 +354,18 @@ class TestKColorable:
 
 class TestEnumerateColorings:
     def test_k2_single_canonical(self, k2):
-        assert [c.colors for c in iter_colorings(k2, 2)] == [(1, 2)]
+        assert [cg.coloring.colors for cg in iter_colorings(k2, 2)] == [(1, 2)]
 
     def test_c5_matches_brute_force(self, c5):
         expected = naive_canonical_colorings(c5, 3)
-        emitted = [c.colors for c in iter_colorings(c5, 3)]
+        emitted = [cg.coloring.colors for cg in iter_colorings(c5, 3)]
         assert set(emitted) == expected
         # thirty proper 3-colorings collapse to five canonical classes
         assert len(emitted) == 5
 
     def test_path3_matches_brute_force(self):
         p3 = build_graph(3, [(0, 1), (1, 2)])
-        emitted = [c.colors for c in iter_colorings(p3, 2)]
+        emitted = [cg.coloring.colors for cg in iter_colorings(p3, 2)]
         assert set(emitted) == naive_canonical_colorings(p3, 2)
         assert len(emitted) == 1
 
@@ -372,14 +374,14 @@ class TestEnumerateColorings:
 
     def test_empty_graph_has_one_coloring_on_zero_colors(self, c5):
         empty = build_graph(0, [])
-        assert [[c.colors for c in iter_colorings(empty, k)] for k in (-1, 0, 1, 2)] == [
+        assert [[cg.coloring.colors for cg in iter_colorings(empty, k)] for k in (-1, 0, 1, 2)] == [
             [], [()], [()], [()]]
         assert [list(iter_colorings(c5, k)) for k in (-1, 0)] == [[], []]
 
     def test_deep_even_cycle(self):
         # 3,000 vertices, deeper than a recursive enumeration can go; the
         # one canonical 2-coloring alternates
-        assert [c.colors for c in iter_colorings(cycle_graph(3000), 2)] == [(1, 2) * 1500]
+        assert [cg.coloring.colors for cg in iter_colorings(cycle_graph(3000), 2)] == [(1, 2) * 1500]
 
     def test_deep_odd_cycle(self):
         assert list(iter_colorings(cycle_graph(3001), 2)) == []
@@ -400,7 +402,7 @@ class TestEnumerateColorings:
     @settings(max_examples=40, deadline=None)
     def test_emissions_proper_canonical_and_complete(self, g):
         max_colors = 3
-        emitted = list(iter_colorings(g, max_colors))
+        emitted = [cg.coloring for cg in iter_colorings(g, max_colors)]
         for coloring in emitted:
             assert is_proper(g, coloring)
             assert canonical_form(coloring) == coloring
@@ -410,5 +412,37 @@ class TestEnumerateColorings:
         assert [c.colors for c in emitted] == sorted(seen)
 
     def test_lexicographic_order(self, c5):
-        emitted = [c.colors for c in iter_colorings(c5, 3)]
+        emitted = [cg.coloring.colors for cg in iter_colorings(c5, 3)]
         assert emitted == sorted(emitted)
+
+    @staticmethod
+    def assert_tables_proved(g, emitted):
+        """Each emitted ColoredGraph is of g, its coloring is proper by the
+        pairwise reference, and its class table is the one the properness
+        check builds, in the same key order."""
+        for cg in emitted:
+            assert cg.graph is g
+            assert naive_is_proper(g, cg.coloring)
+            assert list(cg.classes.items()) == list(_proper_classes(g, cg.coloring).items())
+
+    def test_class_tables_on_every_graph_on_five_vertices(self):
+        # every labelled graph on at most 5 vertices at every palette up to
+        # 5: the enumeration's tables are those of the validating
+        # constructor, and the colorings are still the brute-force ones (a
+        # canonical coloring uses at most k colors when its largest is k)
+        for n in range(6):
+            for g in every_graph(n):
+                expected = naive_canonical_colorings(g, 5)
+                for max_colors in range(6):
+                    emitted = list(iter_colorings(g, max_colors))
+                    self.assert_tables_proved(g, emitted)
+                    assert ({cg.coloring.colors for cg in emitted}
+                            == {c for c in expected if max(c, default=0) <= max_colors})
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_class_tables_on_the_sweep(self, depth):
+        # the first 1,000 colorings the sweep takes of each Mycielski iterate
+        g = mycielski_iterates(3)[depth]
+        emitted = list(itertools.islice(iter_colorings(g, depth + 2), 1000))
+        assert len(emitted) == (1, 5, 520, 1000)[depth]
+        self.assert_tables_proved(g, emitted)

@@ -105,7 +105,8 @@ class TestDisconnected:
 
     @pytest.fixture(scope="class")
     def colorings(self, g):
-        return [chromatic_number(g).witness, *itertools.islice(iter_colorings(g, 4), 0, 600, 100)]
+        return [ColoredGraph(g, chromatic_number(g).witness),
+                *itertools.islice(iter_colorings(g, 4), 0, 600, 100)]
 
     def lift(self, step, up):
         """The step with every vertex id mapped through up."""
@@ -121,9 +122,8 @@ class TestDisconnected:
     def test_matches_construction_on_component(self, g, colorings):
         up = tuple(range(5, 16))
         sub = induced_subgraph(g, up)
-        for coloring in colorings:
-            cg = ColoredGraph(g, coloring)
-            sub_cg = ColoredGraph(sub, Coloring(tuple(coloring.colors[v] for v in up)))
+        for cg in colorings:
+            sub_cg = ColoredGraph(sub, Coloring(tuple(cg.coloring.colors[v] for v in up)))
             for start in up:
                 whole = colorful_path_from(cg, start, 4)
                 alone = colorful_path_from(sub_cg, up.index(start), 4)
@@ -132,8 +132,7 @@ class TestDisconnected:
                 assert whole.steps, "chi_lb 4 takes at least one recursion level"
 
     def test_bound_overstated_for_start_component_rejected(self, g, colorings):
-        for coloring in colorings:
-            cg = ColoredGraph(g, coloring)
+        for cg in colorings:
             for start in range(5):
                 with pytest.raises(GraphError):
                     colorful_path_from(cg, start, 4)
@@ -191,8 +190,7 @@ class TestGuaranteeSweep:
         chi = chromatic_number(g).chi
         needed = -(-chi // 2)
         count = 0
-        for coloring in iter_colorings(g, chi):
-            cg = ColoredGraph(g, coloring)
+        for cg in iter_colorings(g, chi):
             for v in range(g.n):
                 result = colorful_path_from(cg, v, chi)
                 report = classify_path(cg, result.path.vertices)
@@ -270,9 +268,8 @@ class TestLazyTrace:
     def test_audit_chi_matches_recursed_subgraph(self, depth):
         g = mycielski_iterates(depth)[-1]
         chi = chromatic_number(g).chi
-        colorings = [dsatur_coloring(g), *itertools.islice(iter_colorings(g, chi), 20)]
-        for coloring in colorings:
-            cg = ColoredGraph(g, coloring)
+        colorings = [ColoredGraph(g, dsatur_coloring(g)), *itertools.islice(iter_colorings(g, chi), 20)]
+        for cg in colorings:
             for start in range(g.n):
                 result = colorful_path_from(cg, start, chi)
                 assert result.steps
@@ -347,10 +344,10 @@ class TestLevelMemo:
     def test_warm_matches_cold_on_mycielski_iterates(self, depth):
         g = mycielski_iterates(depth)[-1]
         chi = chromatic_number(g).chi
-        colorings = [dsatur_coloring(g), *itertools.islice(iter_colorings(g, chi), 0, 1000, 50)]
+        colorings = [ColoredGraph(g, dsatur_coloring(g)),
+                     *itertools.islice(iter_colorings(g, chi), 0, 1000, 50)]
         self.assert_warm_matches_cold(
-            [(ColoredGraph(g, coloring), start, chi)
-             for coloring in colorings for start in range(g.n)])
+            [(cg, start, chi) for cg in colorings for start in range(g.n)])
 
     @pytest.mark.parametrize("i", range(32))
     def test_warm_matches_cold_on_random_thorough_graphs(self, i):
@@ -367,16 +364,16 @@ class TestLevelMemo:
         chi = chromatic_number(g).chi
         pivots = _colorful_pivots(g, chi, thorough=True)
         self.assert_warm_matches_cold(
-            [(ColoredGraph(g, coloring), start, chi)
-             for coloring in itertools.islice(iter_colorings(g, chi + 1), 0, 20, 4)
+            [(cg, start, chi)
+             for cg in itertools.islice(iter_colorings(g, chi + 1), 0, 20, 4)
              for start in pivots])
 
     def test_graph_switches(self, c5, grotzsch):
         # A, B, then A again: the facts of one graph never serve another
         def cases(g):
             chi = chromatic_number(g).chi
-            return [(ColoredGraph(g, coloring), start, chi)
-                    for coloring in itertools.islice(iter_colorings(g, chi), 0, 100, 20)
+            return [(cg, start, chi)
+                    for cg in itertools.islice(iter_colorings(g, chi), 0, 100, 20)
                     for start in range(g.n)]
 
         self.assert_warm_matches_cold(cases(grotzsch) + cases(c5) + cases(grotzsch))
@@ -400,8 +397,8 @@ class TestLevelMemo:
         chi = chromatic_number(g).chi
         _graph_facts.cache_clear()
         built = 0
-        for coloring in itertools.islice(iter_colorings(g, chi), 1000):
-            colorful_path_from(ColoredGraph(g, coloring), 0, chi)
+        for cg in itertools.islice(iter_colorings(g, chi), 1000):
+            colorful_path_from(cg, 0, chi)
             built += 1
         info = _graph_facts(g).level.cache_info()
         assert (built, info.hits + info.misses, info.currsize) == (colorings, levels, entries)

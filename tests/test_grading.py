@@ -281,8 +281,8 @@ def procedure_case(seed):
     if kind == 0:
         depth = 2 + seed // 3 % 2
         g = mycielski_iterates(3)[depth]
-        coloring = next(itertools.islice(iter_colorings(g, depth + 2), seed // 6, None))
-        return ColoredGraph(g, coloring), singleton_grading(g), 3 + seed // 6 % 3
+        cg = next(itertools.islice(iter_colorings(g, depth + 2), seed // 6, None))
+        return cg, singleton_grading(g), 3 + seed // 6 % 3
     if kind == 1:
         g = random_triangle_free(rng.randint(6, 18), rng.uniform(0.2, 0.5), seed)
         cg = ColoredGraph(g, random_proper_coloring(g, rng))

@@ -10,6 +10,8 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rainbowpath
 from rainbowpath import (
@@ -25,9 +27,11 @@ from rainbowpath import (
     report_to_json,
     run_corpus,
 )
+from rainbowpath.chromatic import MAX_VERTICES
 from rainbowpath.graphs import GraphError, Path as GraphPath
-from rainbowpath.harness import coloring_digest
+from rainbowpath.harness import _coloring_source, coloring_digest
 from rainbowpath.oracle import GallaiRoyPath, SearchResult
+from helpers import naive_coloring_digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,7 +64,7 @@ class TestCheckGraph:
         report = check_graph(c5, HarnessConfig(coloring_cap=cap))
         assert report.colorings_checked == cap
         assert report.truncated is truncated
-        first = [coloring_digest(c) for c in islice(iter_colorings(c5, 3), cap)]
+        first = [coloring_digest(cg.coloring) for cg in islice(iter_colorings(c5, 3), cap)]
         assert [r.coloring_digest for r in report.checks] == first
 
     def test_grotzsch_capped(self, grotzsch):
@@ -114,10 +118,17 @@ class TestCheckGraph:
         assert json.loads(reports[0])["colorings_checked"] == 5
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("name, cap, colorings", [("c5", 1000, 5), ("grotzsch", 20, 20)])
-    def test_one_class_table_per_coloring(self, request, monkeypatch, name, cap, colorings):
-        # the properness check builds each coloring's class table, and the
-        # rainbow search, Gallai-Roy and the colorful construction read it
+    @pytest.mark.parametrize("name, cap, samples, colorings", [
+        pytest.param("c5", 1000, 0, 5, id="c5-1000-5"),
+        pytest.param("grotzsch", 20, 0, 20, id="grotzsch-20-20"),
+        pytest.param("grotzsch", 5, 5, 10, id="grotzsch-5-10"),
+    ])
+    def test_one_class_table_per_coloring(self, request, monkeypatch, name, cap, samples,
+                                          colorings):
+        # an enumerated coloring arrives with the class table the enumeration
+        # built, so the properness check runs only on the sampled ones, once
+        # each; the rainbow search, Gallai-Roy and the colorful construction
+        # read the table
         built = []
 
         def counted(original):
@@ -132,9 +143,11 @@ class TestCheckGraph:
         assert binding
         for module in binding:
             monkeypatch.setattr(module, "_proper_classes", counted(module._proper_classes))
-        report = check_graph(request.getfixturevalue(name), HarnessConfig(coloring_cap=cap))
+        cfg = HarnessConfig(coloring_cap=cap, extra_samples=samples)
+        report = check_graph(request.getfixturevalue(name), cfg)
         assert report.colorings_checked == colorings
-        assert len(built) == colorings
+        # min(cap, colorings) of them were enumerated, the rest sampled
+        assert len(built) == colorings - min(cap, colorings) == samples
 
     @pytest.mark.parametrize("thorough", [False, True])
     def test_sweep_builds_no_trace(self, monkeypatch, c5, grotzsch, thorough):
@@ -204,6 +217,25 @@ class TestCheckGraph:
         payload = json.loads(line)
         assert list(payload)[:5] == ["graph_id", "graph6", "n", "m", "chi"]
         assert payload["graph6"] == encode_graph6(c5)
+
+
+class TestColoringDigest:
+    """The digest reads each color's text from a table; its bytes are those
+    of the formula that formats each color with str()."""
+
+    @given(st.lists(st.integers(1, MAX_VERTICES), max_size=MAX_VERTICES))
+    def test_matches_reference(self, colors):
+        coloring = Coloring(tuple(colors))
+        assert coloring_digest(coloring) == naive_coloring_digest(coloring)
+
+    def test_matches_reference_on_the_sweep(self):
+        # the 1,526 colorings of K2, C5, Grotzsch and Mycielski-3 that the
+        # mycielski-sweep benchmark checks
+        cfg = HarnessConfig(coloring_cap=1000)
+        swept = [cg.coloring for depth, g in enumerate(mycielski_iterates(3))
+                 for cg in _coloring_source(g, depth + 2, cfg, f"m{depth}")[0]]
+        assert len(swept) == 1526
+        assert [coloring_digest(c) for c in swept] == [naive_coloring_digest(c) for c in swept]
 
 
 class TestWarnings:

@@ -361,7 +361,7 @@ class TestFrozenGallaiRoy:
     @staticmethod
     def sweep_case(depth):
         g = mycielski_iterates(3)[depth]
-        return [ColoredGraph(g, c) for c in itertools.islice(iter_colorings(g, depth + 2), 1000)]
+        return list(itertools.islice(iter_colorings(g, depth + 2), 1000))
 
     @staticmethod
     def random_case(seed):

@@ -1,8 +1,9 @@
 """The benchmark's tracer names rainbowpath functions by string; a refactor
 that renames or stops importing one would break `perfbench/run.py --trace 1`
 without failing any library test, so those names are checked here, and so
-is that each is still used where it is traced. So are
-the bytes of the reports of the benchmark's three workloads, the pytest
+is that each is still used where it is traced. So are the bytes of the
+reports of the benchmark's three workloads, that one benchmark iteration
+runs in a fresh interpreter as the benchmark starts it, the pytest
 configuration's warning filter, which decides whether a failing test lets
 the rest of the session run, and that the package defines nothing that
 only tests use."""
@@ -123,6 +124,25 @@ def test_random_thorough_report_matches_reference(seed, tmp_path):
     in perfbench/reference.json and fails no operation."""
     digest, pinned = _reference_digest("random-thorough", seed, tmp_path)
     assert digest == pinned
+
+
+@pytest.mark.parametrize("workload", ["mycielski-sweep", "exact-solvers"])
+def test_child_iteration_runs(workload, tmp_path):
+    """One benchmark iteration in a fresh interpreter, as perfbench/run.py
+    starts it: child.py's own import path, its record fields and its
+    last-line JSON. It exits 0, fails no operation and writes the pinned
+    report; an iteration that exits non-zero fails the whole benchmark run,
+    which the in-process reference tests above cannot see."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--workload", workload, "--seed", "0",
+         "--mode", "run", "--workdir", str(tmp_path)],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["failed"] == 0, record["problems"]
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="ascii"))
+    assert record["report_sha256"] == reference["report_sha256"][workload]["0"]
 
 
 PYPROJECT = PERFBENCH.parent / "pyproject.toml"
