@@ -1,8 +1,9 @@
 """Exact and heuristic proper coloring: chromatic number, optimal witnesses,
 and canonical enumeration of proper colorings.
 
-The exact solver decides k-colorability for increasing k between a
-clique/odd-cycle lower bound and the DSATUR upper bound, so the returned
+The exact solver decides k-colorability for k upward from the bound its
+certificate proves, 3 with an odd cycle, else 2 with an edge, and the first
+colorable k is chi: every smaller k was refuted by an exhaustive search, so
 chi is proved optimal. Each k-colorability search is a backtracking DSATUR
 search with a fixed contract: the uncolored vertex with the most forbidden
 colors goes first, then higher degree, then smaller id; colors are tried in
@@ -16,7 +17,7 @@ gives up only branches that hold none. Saturations are kept as
 bit-sliced counters over vertex bitmasks, so each color tried costs
 O(log k) mask operations, whatever the degree. The search runs on an
 explicit stack, not by recursion; at k = n its first descent is the greedy
-DSATUR coloring that gives the upper bound.
+DSATUR coloring, dsatur_coloring.
 
 The exact search refuses graphs above MAX_VERTICES vertices. Results are
 memoized per graph, for the latest 1,024 graphs; Graph is immutable and
@@ -47,8 +48,9 @@ class TooLargeError(GraphError):
 class ChromaticResult:
     """Exact chromatic number with an optimal witness coloring.
 
-    lower_bound_certificate is ("clique", vertices) or ("odd_cycle", vertices)
-    when a nontrivial lower bound was found, else None.
+    lower_bound_certificate is ("odd_cycle", vertices) when g has an odd
+    cycle, which proves chi >= 3; else ("clique", (u, v)), g's first edge in
+    Graph.edges order, when g has an edge, which proves chi >= 2; else None.
     """
 
     chi: int
@@ -64,23 +66,6 @@ def dsatur_coloring(g: Graph) -> Coloring:
     color is never forbidden, so it never backtracks.
     """
     return _k_colorable(g, g.n)
-
-
-def _greedy_clique(g: Graph) -> tuple[int, ...]:
-    """Largest greedy maximal clique grown from one of the 8 highest-degree
-    vertices; () on the empty graph."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best: tuple[int, ...] = ()
-    for start in order[:8]:
-        clique = [start]
-        common = g.masks[start]
-        while common:
-            v = min(_bits(common), key=lambda u: (-(g.masks[u] & common).bit_count(), u))
-            clique.append(v)
-            common &= g.masks[v]
-        if len(clique) > len(best):
-            best = tuple(sorted(clique))
-    return best
 
 
 def _odd_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -211,10 +196,14 @@ def chromatic_number(g: Graph) -> ChromaticResult:
 
     Raises TooLargeError if g has more than MAX_VERTICES vertices. The result
     is cached per graph, however the call is spelled. Every graph takes one
-    path: k runs from the clique or odd-cycle lower bound (at least 2) up to
-    the DSATUR palette, and DSATUR's coloring stands if no smaller k is
-    colorable. So the empty graph gets chi = 0 with an empty witness, an
-    edgeless graph chi = 1 with every color 1; neither has a certificate.
+    path: k runs upward from the bound of the certificate, 3 with an odd
+    cycle, else 2 with an edge, else min(n, 1), and the first k at which
+    _k_colorable finds a coloring is chi, with that coloring as witness. So
+    the empty graph gets chi = 0 with an empty witness, an edgeless graph
+    chi = 1 with every color 1; neither has a certificate. Wherever DSATUR
+    uses chi colors, the witness is DSATUR's own coloring: at k = chi no
+    saturation reaches chi on DSATUR's descent (or DSATUR would need color
+    chi + 1), so the search never backs up and takes that same descent.
     """
     if g.n > MAX_VERTICES:
         raise TooLargeError(f"{g.n} vertices is too large for exact search (cap {MAX_VERTICES})")
@@ -223,20 +212,19 @@ def chromatic_number(g: Graph) -> ChromaticResult:
 
 @functools.lru_cache(maxsize=1_024)
 def _chromatic_number(g: Graph) -> ChromaticResult:
-    upper = dsatur_coloring(g)
-    clique = _greedy_clique(g)
-    lb = max(2, len(clique))
-    certificate: tuple[str, tuple[int, ...]] | None = ("clique", clique) if len(clique) >= 2 else None
-    if lb == 2:
-        cycle = _odd_cycle(g)
-        if cycle is not None:
-            lb = 3
-            certificate = ("odd_cycle", cycle)
-    for k in range(lb, upper.palette_size):
+    cycle = _odd_cycle(g)
+    certificate: tuple[str, tuple[int, ...]] | None
+    if cycle is not None:
+        k, certificate = 3, ("odd_cycle", cycle)
+    elif g.edge_count:
+        k, certificate = 2, ("clique", next(g.edges()))
+    else:
+        k, certificate = min(g.n, 1), None
+    while True:
         witness = _k_colorable(g, k)
         if witness is not None:
             return ChromaticResult(k, witness, certificate)
-    return ChromaticResult(upper.palette_size, upper, certificate)
+        k += 1
 
 
 # The cache statistics of chromatic_number are those of the per-graph cache.

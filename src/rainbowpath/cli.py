@@ -20,7 +20,7 @@ from .bounds import BoundsError, compute_bounds, guaranteed_length
 from .chromatic import chromatic_number
 from .colorful import ColorfulResult, colorful_path_from
 from .generators import cycle_graph, kneser_graph, mycielski_iterates, random_triangle_free
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, write_corpus
 from .graphs import (ColoredGraph, Coloring, GraphError, classify_path, connected_components,
                      induced_subgraph)
 from .grading import Grading, GradingOutcome, OutcomeKind, rainbow_or_witness
@@ -50,14 +50,17 @@ def _data_lines(path: str) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def _read_coloring(args) -> Coloring:
+def _colored_graph(args) -> ColoredGraph:
+    """The graph6 argument with the coloring of --coloring or the first data
+    line of --coloring-file; a malformed graph6 string is reported first."""
+    g = decode_graph6(args.graph6)
     if args.coloring is not None:
-        return _parse_coloring(args.coloring)
+        return ColoredGraph(g, _parse_coloring(args.coloring))
     if args.coloring_file is not None:
         lines = _data_lines(args.coloring_file)
         if not lines:
             raise GraphError(f"no coloring line found in {args.coloring_file}")
-        return _parse_coloring(lines[0])
+        return ColoredGraph(g, _parse_coloring(lines[0]))
     raise GraphError("provide --coloring or --coloring-file")
 
 
@@ -131,14 +134,12 @@ _GENERATORS = {
 def _cmd_generate(args) -> int:
     if args.count < 1:
         raise GraphError("count must be positive")
-    lines = [encode_graph6(g) for g in _GENERATORS[args.kind](args)]
+    graphs = _GENERATORS[args.kind](args)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {len(lines)} graphs to {args.out}")
+        print(f"wrote {write_corpus(args.out, graphs)} graphs to {args.out}")
     else:
-        for line in lines:
-            print(line)
+        for g in graphs:
+            print(encode_graph6(g))
     return 0
 
 
@@ -165,9 +166,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    g = decode_graph6(args.graph6)
-    coloring = _read_coloring(args)
-    cg = ColoredGraph(g, coloring)
+    cg = _colored_graph(args)
+    g = cg.graph
     chi_lb = args.chi_lb
     if chi_lb is None:
         # the construction runs inside the start's component; a start outside
@@ -186,9 +186,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_lemma1(args) -> int:
-    g = decode_graph6(args.graph6)
-    coloring = _read_coloring(args)
-    cg = ColoredGraph(g, coloring)
+    cg = _colored_graph(args)
     grading = read_grading_file(args.grading_file)
     outcome = rainbow_or_witness(cg, grading, args.s)
     print(f"outcome: {outcome.kind.value}")
@@ -205,9 +203,9 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = decode_graph6(args.graph6)
     colored = args.coloring is not None or args.coloring_file is not None
-    cg = ColoredGraph(g, _read_coloring(args)) if colored else None
+    cg = _colored_graph(args) if colored else None
+    g = cg.graph if cg is not None else decode_graph6(args.graph6)
     budget = SearchBudget(max_nodes=args.budget, on_exceed="flag")
     lip = longest_induced_path(g, budget)
     print(f"longest induced path: {list(lip.path.vertices)} "

@@ -23,6 +23,7 @@ from rainbowpath import (
     petersen_graph,
     random_triangle_free,
 )
+from rainbowpath import chromatic
 from rainbowpath.chromatic import TooLargeError, _k_colorable, _odd_cycle
 from rainbowpath.graphs import _proper_classes
 from helpers import (
@@ -92,8 +93,8 @@ class TestChromaticNumber:
         assert chromatic_number(grotzsch).chi == 4
 
     def test_edgeless(self):
-        # DSATUR colors every vertex 1, the clique is one vertex (no
-        # certificate), and the k loop from 2 up to palette 1 is empty
+        # no edge, so no certificate: the search starts at k = 1, where
+        # every vertex takes color 1
         for n in range(1, 7):
             result = chromatic_number(build_graph(n, []))
             assert result.chi == 1
@@ -101,34 +102,91 @@ class TestChromaticNumber:
             assert result.lower_bound_certificate is None
 
     def test_empty_graph(self):
-        # DSATUR colors nothing, the clique is empty and there is no odd cycle
+        # no vertex, so no certificate: the search starts at k = 0, where
+        # the empty coloring is proper
         result = chromatic_number(build_graph(0, []))
         assert result.chi == 0
         assert result.witness == Coloring(()) and result.lower_bound_certificate is None
 
     def test_dsatur_optimal_keeps_dsatur_witness(self):
-        # DSATUR is optimal on every graph on five vertices: the k loop finds
-        # nothing smaller, so the witness is DSATUR's own coloring
+        # DSATUR is optimal on every graph on five vertices: at k = chi no
+        # saturation on its descent reaches chi, so the search never backs
+        # up and its first coloring is DSATUR's own
         for g in every_graph(5):
             upper = dsatur_coloring(g)
             result = chromatic_number(g)
             assert (result.chi, result.witness) == (upper.palette_size, upper)
 
-    @pytest.mark.parametrize("edges, certificate", [
-        ([(0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)],
-         "clique"),
-        ([(0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (2, 8), (4, 5),
-          (4, 7), (5, 8), (6, 7), (6, 8)], "odd_cycle"),
-    ], ids=["clique", "odd_cycle"])
-    def test_chi_at_the_lower_bound_below_dsatur(self, edges, certificate):
+    @pytest.mark.parametrize("edges", [
+        [(0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6)],
+        [(0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (2, 8), (4, 5),
+         (4, 7), (5, 8), (6, 7), (6, 8)],
+    ], ids=["triangle", "odd_cycle"])
+    def test_chi_at_the_lower_bound_below_dsatur(self, edges):
         # frozen from a seeded random search: DSATUR needs 4 colors and chi
-        # is 3, the clique bound (n = 7) or, triangle-free, the odd-cycle
-        # bound (n = 9), so the search must try k = lb itself
+        # is 3, the odd-cycle bound, here a triangle {0, 3, 5} (n = 7) or,
+        # triangle-free, a longer odd cycle (n = 9), so the search must try
+        # k = lb itself
         g = build_graph(max(max(e) for e in edges) + 1, edges)
         assert dsatur_coloring(g).palette_size == 4
         result = chromatic_number(g)
-        assert result.chi == 3 and result.lower_bound_certificate[0] == certificate
+        assert result.chi == 3 and result.lower_bound_certificate[0] == "odd_cycle"
         assert is_proper(g, result.witness) and result.witness.palette_size == 3
+
+    @staticmethod
+    def _certificate_graphs():
+        """Every labelled graph on at most 6 vertices, the Mycielski iterates
+        up to Mycielski-3 and 21 random triangle-free graphs, n = 10..30."""
+        for n in range(7):
+            yield from every_graph(n)
+        yield from mycielski_iterates(3)
+        for n in range(10, 31):
+            yield random_triangle_free(n, 0.3, seed=n)
+
+    def test_every_certificate_proves_its_bound(self):
+        # an edge proves chi >= 2 and is given only where chi is 2; an odd
+        # cycle proves chi >= 3
+        for g in self._certificate_graphs():
+            result = chromatic_number(g)
+            certificate = result.lower_bound_certificate
+            assert (certificate is None) == (g.edge_count == 0)
+            if certificate is None:
+                continue
+            kind, vertices = certificate
+            if kind == "clique":
+                u, v = vertices
+                assert u < v and g.has_edge(u, v) and result.chi == 2
+            else:
+                assert kind == "odd_cycle"
+                assert len(vertices) % 2 == 1 and len(vertices) >= 3
+                assert len(set(vertices)) == len(vertices)
+                assert all(g.has_edge(vertices[i - 1], vertices[i]) for i in range(len(vertices)))
+                assert result.chi >= 3
+
+    @pytest.mark.parametrize("depth, ks", [
+        (0, [2]), (1, [3]), (2, [3, 4]), (3, [3, 4, 5]), (4, [3, 4, 5, 6]),
+    ], ids=[f"mycielski-{depth}" for depth in range(5)])
+    def test_one_upward_search(self, monkeypatch, depth, ks):
+        # k runs from the certificate's bound up to chi and no further: no
+        # search at k = n for an upper bound
+        calls = []
+
+        def recorder(g, k):
+            calls.append(k)
+            return _k_colorable(g, k)
+
+        monkeypatch.setattr(chromatic, "_k_colorable", recorder)
+        result = chromatic._chromatic_number.__wrapped__(mycielski_iterates(depth)[-1])
+        assert calls == ks and result.chi == ks[-1]
+
+    def test_witness_is_the_first_coloring_at_chi(self):
+        # and DSATUR's own coloring wherever DSATUR is optimal
+        for g in self._certificate_graphs():
+            result = chromatic_number(g)
+            assert result.witness == _k_colorable(g, result.chi)
+            upper = dsatur_coloring(g)
+            if upper.palette_size == result.chi:
+                assert result.witness == upper
 
     def test_cap(self):
         with pytest.raises(TooLargeError):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -89,6 +93,30 @@ class TestUsageErrors:
             main(["check", "--help"])
         assert exc.value.code == 0
         assert "--cap" in capsys.readouterr().out
+
+
+class TestModuleEntryPoints:
+    """`python -m rainbowpath` and `python -m rainbowpath.cli` run main and
+    exit with its code."""
+
+    @staticmethod
+    def _run(module, *argv):
+        src = str(FilePath(rainbowpath.harness.__file__).parent.parent)
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("module", ["rainbowpath", "rainbowpath.cli"])
+    def test_bounds_table(self, capsys, module):
+        proc = self._run(module, "bounds", "--s", "3")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run(capsys, "bounds", "--s", "3")[1]
+        assert proc.stdout.splitlines()[1].split() == ["3", "64", "4224"]
+
+    @pytest.mark.parametrize("module", ["rainbowpath", "rainbowpath.cli"])
+    def test_unknown_option_exits_one(self, module):
+        proc = self._run(module, "bounds", "--unknown")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "error: unrecognized arguments: --unknown" in proc.stderr
 
 
 class TestBounds:
