@@ -33,7 +33,6 @@ from .grading import (
     refine_grading,
     singleton_grading,
     validate_grading,
-    whole_graph_grading,
 )
 from .graphs import (
     ColoredGraph,

@@ -17,12 +17,10 @@ import argparse
 import sys
 
 from .bounds import BoundsError, compute_bounds, guaranteed_length
-from .chromatic import chromatic_number
 from .colorful import ColorfulResult, colorful_path_from
 from .generators import cycle_graph, kneser_graph, mycielski_iterates, random_triangle_free
 from .graph6 import decode_graph6, encode_graph6, write_corpus
-from .graphs import (ColoredGraph, Coloring, GraphError, classify_path, connected_components,
-                     induced_subgraph)
+from .graphs import ColoredGraph, Coloring, GraphError, classify_path
 from .grading import Grading, GradingOutcome, OutcomeKind, rainbow_or_witness
 from .harness import HarnessConfig, check_graph, report_to_json, run_corpus, verdict
 from .oracle import (
@@ -167,18 +165,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_construct(args) -> int:
     cg = _colored_graph(args)
-    g = cg.graph
-    chi_lb = args.chi_lb
-    if chi_lb is None:
-        # the construction runs inside the start's component; a start outside
-        # the graph meets no component and is refused by colorful_path_from
-        comp = next((c for c in connected_components(g) if args.start in c), ())
-        chi_lb = chromatic_number(induced_subgraph(g, comp)).chi
-    result = colorful_path_from(cg, args.start, chi_lb)
+    result = colorful_path_from(cg, args.start)
     report = classify_path(cg, result.path.vertices)
     print(f"path: {list(result.path.vertices)}")
     print(f"order: {report.order}  induced: {report.is_induced}  "
-          f"colors: {report.color_count} (needed >= {-(-chi_lb // 2)})")
+          f"colors: {report.color_count} (needed >= {-(-result.chi_lb // 2)})")
     if args.trace:
         for line in render_colorful_trace(result):
             print(line)
@@ -299,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph6")
     _add_coloring_args(p)
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--chi-lb", type=int, dest="chi_lb",
-                   help="chromatic lower bound (default: exact chi of the start's component)")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_construct)
 

@@ -9,9 +9,10 @@ and splice: R = P_w followed by the path built from there. Each level
 contributes the removed color, which the rest of the path cannot contain,
 so R sees at least ceil(chi_lb / 2) distinct colors while staying induced.
 
-The induction runs as one loop, a level per pass. It trusts the caller's
-chromatic lower bound and lowers it by two per level, exactly like the
-induction it implements; the trace audits that bound with the exact
+The induction runs as one loop, a level per pass. Its bound is the exact
+chromatic number of the start's component, from the per-graph facts below,
+unless the caller passes one; it lowers the bound by two per level, exactly
+like the induction it implements, and the trace audits it with the exact
 chromatic number of every recursed subgraph. It works on
 vertex bitmasks of the original graph, removing a color as one mask of the
 coloring's class table (ColoredGraph.classes); what depends only on the
@@ -24,7 +25,8 @@ memoized per graph on (active set, start, remaining set). A level keeps
 only the ints it computed; its ColorfulStep, audit chi included, is built
 on first read, so a sweep that reads only paths computes no audit. The
 finished path is checked on the adjacency masks in one pass: induced, and
-seeing ceil(chi_lb / 2) colors.
+seeing ceil(chi_lb / 2) colors, and the result keeps the count of colors
+that check found.
 
 The graph need not be connected: the construction runs inside the start
 vertex's connected component, as the induction does inside a connected
@@ -79,17 +81,21 @@ class ColorfulStep:
 
 @dataclass(frozen=True)
 class ColorfulResult:
-    """The constructed path and, per level, the ints computed for it: chi_lb,
+    """The constructed path; per level, the ints computed for it: chi_lb,
     start, removed color, the active, after-removal and chosen-component
     masks, the approach path, the fan and second-component masks, the
-    bridge and the offset in the path where the level's part starts.
-    `steps`, the ColorfulStep trace in level order, is built from them on
-    first read, with each recursed set's chi taken from the memo of the
-    graph the result was built on; that graph takes no part in equality,
-    hashing or repr."""
+    bridge and the offset in the path where the level's part starts; the
+    bound the construction ran with, `chi_lb`; and `color_count`, the
+    distinct colors on the path, at least ceil(chi_lb/2). `steps`, the
+    ColorfulStep trace in level order, is built from the levels on first
+    read, with each recursed set's chi taken from the memo of the graph the
+    result was built on; that graph takes no part in equality, hashing or
+    repr."""
 
     path: Path
     levels: tuple[tuple, ...]
+    chi_lb: int
+    color_count: int
     graph: Graph = field(compare=False, repr=False)
 
     @functools.cached_property
@@ -172,26 +178,30 @@ def _graph_facts(g: Graph) -> _GraphFacts:
     return _GraphFacts(is_triangle_free(g), component, upper_bound, chi, level)
 
 
-def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int) -> ColorfulResult:
+def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int | None = None) -> ColorfulResult:
     """Induced path from `start` seeing at least ceil(chi_lb/2) colors.
 
-    Runs inside the connected component of `start`, so the graph need not be
-    connected. Requires a triangle-free graph and chi_lb no larger than the
-    chromatic number of that component, checked against a cheap upper bound:
-    the colors a DSATUR coloring uses on it. A bound overstated past that
-    check surfaces as a structural error at some level, or not at all when
-    the path still sees ceil(chi_lb/2) colors. The result's `steps`, with
-    the exact chi of every recursed subgraph, are built on first read.
+    Runs inside the connected component C of `start`, so the graph need not
+    be connected, and requires a triangle-free graph. chi_lb defaults to
+    chi(C), computed once per graph, which is the bound the paper's theorem
+    proves. A bound given on purpose must be positive and is checked against
+    a cheap upper bound on chi(C): the colors a DSATUR coloring uses on it. A
+    bound overstated past that check surfaces as a structural error at some
+    level, or not at all when the path still sees ceil(chi_lb/2) colors. The
+    result's `steps`, with the exact chi of every recursed subgraph, are
+    built on first read.
     """
     g = cg.graph
     if not 0 <= start < g.n:
         raise GraphError(f"start vertex {start} not in graph")
-    if chi_lb < 1:
+    if chi_lb is not None and chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    triangle_free, component, upper_bound, _, level = _graph_facts(g)
+    triangle_free, component, upper_bound, chi, level = _graph_facts(g)
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
-    if chi_lb > upper_bound[start]:
+    if chi_lb is None:
+        chi_lb = chi(component[start])
+    elif chi_lb > upper_bound[start]:
         raise GraphError(f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound")
 
     active, v, lb = component[start], start, chi_lb
@@ -209,9 +219,8 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int) -> ColorfulRes
         active, v, lb = c2 | 1 << bridge, bridge, lb - 2
     path.append(v)
 
-    result = Path(tuple(path))
     colors = cg.coloring.colors
-    if not _is_induced(g.masks, path) or len({colors[u] for u in path}) < -(-chi_lb // 2):
+    color_count = len({colors[u] for u in path})
+    if not _is_induced(g.masks, path) or color_count < -(-chi_lb // 2):
         raise GraphError("construction produced an invalid path; is chi_lb too large?")
-    return ColorfulResult(path=result, levels=tuple(levels), graph=g)
-
+    return ColorfulResult(Path(tuple(path)), tuple(levels), chi_lb, color_count, g)

@@ -102,15 +102,6 @@ def singleton_grading(g: Graph) -> Grading:
     )
 
 
-def whole_graph_grading(g: Graph, coloring_values: tuple[int, ...], k: int) -> Grading:
-    """One part holding all of V with the given proper coloring."""
-    return Grading(
-        parts=(tuple(range(g.n)),) if g.n else (),
-        part_colorings=(coloring_values,) if g.n else (),
-        k=k,
-    )
-
-
 def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
     """Build a grading from a vertex partition, coloring each part greedily.
 

@@ -126,12 +126,6 @@ def _colorful_pivots(g: Graph, chi: int, thorough: bool) -> list[int]:
     raise GraphError("no component attains the graph's chromatic number")
 
 
-def _colorful_count(cg: ColoredGraph, start: int, chi: int) -> int:
-    """Distinct colors on the path the construction builds from start."""
-    result = colorful_path_from(cg, start, chi)
-    return len({cg.color_of(v) for v in result.path.vertices})
-
-
 def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
                      graph_id: str) -> tuple[list[ColoredGraph], bool]:
     """The colorings to sweep, as ColoredGraphs of g, and whether the
@@ -175,13 +169,15 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
     return colorings, truncated
 
 
-def _probe(cg: ColoredGraph, chi: int, pivots: list[int],
-           budget: SearchBudget) -> tuple[CheckRecord, bool]:
+def _probe(cg: ColoredGraph, pivots: list[int], budget: SearchBudget) -> tuple[CheckRecord, bool]:
     """The three probes under one coloring: its record, and whether the
-    rainbow search was exact."""
+    rainbow search was exact. The colorful construction runs from each
+    pivot at its default bound, chi of the pivot's component, which is
+    chi(G): the pivots lie in a component that attains it."""
     search = longest_induced_rainbow_path(cg, budget)
     # the first pivot among those that see the fewest colors
-    colorful_colors, colorful_pivot = min((_colorful_count(cg, p, chi), p) for p in pivots)
+    colorful_colors, colorful_pivot = min(
+        (colorful_path_from(cg, p).color_count, p) for p in pivots)
     record = CheckRecord(
         coloring_digest=coloring_digest(cg.coloring),
         rainbow_order=search.path.order,
@@ -261,7 +257,7 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     colorings, truncated = _coloring_source(g, chi, cfg, graph_id)
     pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
     budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
-    probed = (_probe(cg, chi, pivots, budget) for cg in colorings)
+    probed = (_probe(cg, pivots, budget) for cg in colorings)
     return _fold(g, cfg, graph_id, chi, truncated, zip(colorings, probed))
 
 

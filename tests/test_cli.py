@@ -80,6 +80,9 @@ class TestUsageErrors:
         ("check", "Dhc", "--cap", "x"),
         ("generate", "--kind", "unknown"),
         ("construct", "Dhc", "--coloring", "1 2 1 2 3", "--strict"),
+        # construct proves ceil(chi(C)/2) for the start's component C and
+        # takes no other bound
+        ("construct", "Dhc", "--coloring", "1 2 1 2 3", "--chi-lb", "3"),
     ])
     def test_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

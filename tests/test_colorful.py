@@ -15,7 +15,9 @@ from rainbowpath import (
     chromatic_number,
     classify_path,
     colorful_path_from,
+    connected_components,
     cycle_graph,
+    decode_graph6,
     dsatur_coloring,
     induced_subgraph,
     iter_colorings,
@@ -156,6 +158,38 @@ class TestErrors:
     def test_nonpositive_bound_rejected(self, c5_colored):
         with pytest.raises(GraphError, match="chromatic lower bound must be positive"):
             colorful_path_from(c5_colored, 0, 0)
+
+
+def _grotzsch_plus_c5():
+    grotzsch = mycielski_iterates(2)[-1]
+    c5 = [(11 + u, 11 + v) for u, v in cycle_graph(5).edges()]
+    return build_graph(16, list(grotzsch.edges()) + c5)
+
+
+class TestDefaultBound:
+    """With no bound given, the construction runs at chi(C) for the start's
+    component C, exactly as when that bound is passed, and its result holds
+    the bound with the count of distinct colors on its path."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: decode_graph6("Fhc?G"), id="c5+k2"),
+        pytest.param(_grotzsch_plus_c5, id="grotzsch+c5"),
+        *(pytest.param(lambda d=d: mycielski_iterates(d)[-1], id=f"mycielski-{d}")
+          for d in range(4)),
+    ])
+    def test_default_is_start_component_chi(self, make):
+        g = make()
+        chi = chromatic_number(g).chi
+        component_chi = {v: chromatic_number(induced_subgraph(g, comp)).chi
+                         for comp in connected_components(g) for v in comp}
+        colorings = [ColoredGraph(g, dsatur_coloring(g)), *itertools.islice(iter_colorings(g, chi), 20)]
+        for cg in colorings:
+            for v in range(g.n):
+                result = colorful_path_from(cg, v)
+                given = colorful_path_from(cg, v, component_chi[v])
+                assert (result, result.steps) == (given, given.steps), (cg.coloring, v)
+                assert result.chi_lb == component_chi[v]
+                assert result.color_count == colors_seen(cg, result.path)
 
 
 class TestSelfCheck:
@@ -353,14 +387,10 @@ class TestLevelMemo:
     def test_warm_matches_cold_on_random_thorough_graphs(self, i):
         # the random-thorough benchmark's seed-0 graphs at --delta 1, from
         # every pivot that its --thorough sweep starts from
-        grotzsch = mycielski_iterates(2)[-1]
         if i < 30:
             g = random_triangle_free(18, 0.3, seed=i)
-        elif i == 30:
-            g = grotzsch
         else:
-            c5 = [(11 + u, 11 + v) for u, v in cycle_graph(5).edges()]
-            g = build_graph(16, list(grotzsch.edges()) + c5)
+            g = mycielski_iterates(2)[-1] if i == 30 else _grotzsch_plus_c5()
         chi = chromatic_number(g).chi
         pivots = _colorful_pivots(g, chi, thorough=True)
         self.assert_warm_matches_cold(

@@ -25,7 +25,6 @@ from rainbowpath import (
     refine_grading,
     singleton_grading,
     validate_grading,
-    whole_graph_grading,
 )
 from rainbowpath.grading import GradingError, Witness, verify_witness_outcome
 
@@ -62,7 +61,7 @@ class TestGradingValidation:
         validate_grading(c5, singleton_grading(c5))
 
     def test_whole_graph_grading(self, c5):
-        gr = whole_graph_grading(c5, (1, 2, 1, 2, 3), k=3)
+        gr = Grading(parts=(tuple(range(5)),), part_colorings=((1, 2, 1, 2, 3),), k=3)
         validate_grading(c5, gr)
 
     def test_overlap_rejected(self, c5):
@@ -103,7 +102,7 @@ class TestGradingValidation:
 
 class TestRefineGrading:
     def test_single_part_gives_color_classes(self, c5, c5_colored):
-        gr = whole_graph_grading(c5, (1, 2, 1, 2, 3), k=3)
+        gr = Grading(parts=(tuple(range(5)),), part_colorings=((1, 2, 1, 2, 3),), k=3)
         assert refine_grading(c5_colored, gr) == ((0, 2), (1, 3), (4,))
 
     def test_singleton_parts_single_class(self, c5, c5_colored):
@@ -180,6 +179,21 @@ class TestProcedureOutcomes:
         gr = Grading(parts=(), part_colorings=(), k=1)
         outcome = rainbow_or_witness(cg, gr, 3)
         assert outcome.kind is OutcomeKind.NO_GUARANTEE
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_part_grading_gives_no_guarantee(self, depth):
+        # one part has no later part: every Grading.later mask is 0, so
+        # neither the witness scans nor the BFS probe has a later-part step
+        # (C5, Grotzsch, Mycielski-3; their chi-colorings as part colorings)
+        g = mycielski_iterates(depth)[-1]
+        chi = chromatic_number(g).chi
+        colorings = [ColoredGraph(g, chromatic_number(g).witness),
+                     *itertools.islice(iter_colorings(g, chi), 5)]
+        for cg in colorings:
+            gr = Grading(parts=(tuple(range(g.n)),), part_colorings=(cg.coloring.colors,), k=chi)
+            validate_grading(g, gr)
+            for s in range(3, chi + 2):
+                assert rainbow_or_witness(cg, gr, s).kind is OutcomeKind.NO_GUARANTEE, s
 
     def test_k8_not_restricted_to_triangle_free(self):
         # the graded procedure is stated for arbitrary colored graphs; on a

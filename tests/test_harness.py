@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rainbowpath
 from rainbowpath import (
+    ColorfulResult,
     Coloring,
     HarnessConfig,
     build_graph,
@@ -275,7 +276,9 @@ class TestWarnings:
         ]
 
     def test_colorful_shortfall_names_coloring_digest(self, caplog, monkeypatch, c5):
-        monkeypatch.setattr(rainbowpath.harness, "_colorful_count", lambda cg, start, chi: 1)
+        # a construction that sees one color from its start, below ceil(3/2)
+        monkeypatch.setattr(rainbowpath.harness, "colorful_path_from", lambda cg, start: (
+            ColorfulResult(GraphPath((start,)), (), 3, 1, cg.graph)))
         with caplog.at_level(logging.WARNING, logger="rainbowpath.harness"):
             report = check_graph(c5, HarnessConfig(coloring_cap=2), graph_id="c5")
         assert [r.getMessage() for r in caplog.records] == [

@@ -5,8 +5,8 @@ is that each is still used where it is traced. So are the bytes of the
 reports of the benchmark's three workloads, that one benchmark iteration
 runs in a fresh interpreter as the benchmark starts it, the pytest
 configuration's warning filter, which decides whether a failing test lets
-the rest of the session run, and that the package defines nothing that
-only tests use."""
+the rest of the session run, that the package defines nothing that only
+tests use, and that the committed benchmark history holds no raw samples."""
 
 import ast
 import importlib
@@ -190,3 +190,21 @@ def test_readme_cli_examples_parse():
     for command in commands:
         argv = shlex.split(command)[1:]
         assert parser.parse_args(argv).command == argv[0], command
+
+
+ROOT = PERFBENCH.parent
+
+
+def test_bench_history_holds_no_raw_samples():
+    """Each root BENCH_<pr>.json keeps its claim, summaries and per-run
+    metrics; the per-iteration arrays of a run record (samples, raw,
+    iterations) stay in the gitignored perfbench/out/, so the history does
+    not grow by megabytes per benchmarked change."""
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    raw = [f"{path.name} runs[{i}].{key}"
+           for path in files
+           for i, run in enumerate(json.loads(path.read_text(encoding="ascii"))["runs"])
+           if isinstance(run, dict)
+           for key in ("samples", "raw", "iterations") if key in run.get("record", {})]
+    assert not raw, f"raw benchmark arrays committed: {raw[:5]}"
