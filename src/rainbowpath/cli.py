@@ -200,11 +200,11 @@ def _cmd_oracle(args) -> int:
     budget = SearchBudget(max_nodes=args.budget, on_exceed="flag")
     lip = longest_induced_path(g, budget)
     print(f"longest induced path: {list(lip.path.vertices)} "
-          f"(order {lip.path.order}, exact={lip.exact})")
+          f"(order {lip.path.order}, exact={lip.exact}, nodes={lip.nodes})")
     if cg is not None:
         rainbow = longest_induced_rainbow_path(cg, budget)
         print(f"longest induced rainbow path: {list(rainbow.path.vertices)} "
-              f"(order {rainbow.path.order}, exact={rainbow.exact})")
+              f"(order {rainbow.path.order}, exact={rainbow.exact}, nodes={rainbow.nodes})")
         gallai = gallai_roy_rainbow_path(cg)
         print(f"color-orientation path: {list(gallai.vertices)} (order {gallai.order})")
     return 0

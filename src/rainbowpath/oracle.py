@@ -20,8 +20,9 @@ silently returned. Their results, node counts included, follow one contract:
 - the best result is replaced only on strict improvement;
 - each path extension counts one search node against the budget;
 - an extension rejected by a bound (the path searches' open-vertex bound,
-  the most-colorful search's color bound) still counts its node, which is
-  counted before the bound is tested;
+  which counts one vertex of the extension's neighbors and every open vertex
+  outside them, or the most-colorful search's color bound) still counts its
+  node, which is counted before the bound is tested;
 - one loop serves the induced and the rainbow search: a vertex on the path
   blocks itself, or its whole color class, from joining it, and the loop
   stops at the first path of `limit` vertices (n, or the palette size);
@@ -109,22 +110,26 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     limit 1 no vertex has a neighbor (a one-color proper coloring has no
     edges, and neither has a one-vertex graph), so no extension is tried.
 
-    An extension is rejected when its path plus every open vertex, one
-    outside its closed set, still has no more vertices than the best. The
-    path's vertices, their blocks and the neighbors of all but its last
-    vertex are closed, so every vertex that could later join the path is
-    open: the extension and every path grown from it could at best tie the
-    best, and ties never replace it. Unless the budget runs out, the result
-    is that of the search without the bound; only node counts drop.
+    The path's vertices, their blocks and the neighbors of all but its last
+    vertex are closed. An extension by x closes new_closed, and a path grown
+    from it takes its next vertex from nxt = masks[x] & ~new_closed. Once
+    that vertex joins, x is no longer last, so every later vertex lies
+    outside new_closed | masks[x]. So the extension is rejected when its
+    path, one vertex if nxt is not empty, and the vertices outside
+    new_closed | masks[x] still have no more vertices than the best: it and
+    every path grown from it could at best tie the best, and ties never
+    replace it. Unless the budget runs out, the result is that of the
+    search without the bound; only node counts drop.
 
     The result starts at its smaller endpoint. Say it were (s, ..., e) with
     e < s. It became the best while searching from s, so it is longer than
     the best left when the search from e finished. But that search meets
-    its reversal (e, ..., s), induced and with one vertex per block too:
-    every later vertex of it stays open, so the bound never cuts it, and
-    only a limit stop, which ends the whole search, could come first. A
-    budget cut keeps this, since the search from e finished before the one
-    from s began.
+    its reversal (e, ..., s), induced and with one vertex per block too: at
+    each of its extensions by x, its next vertex is in nxt and every later
+    one is outside new_closed | masks[x], so the bound counts at least its
+    order and never cuts it, and only a limit stop, which ends the whole
+    search, could come first. A budget cut keeps this, since the search
+    from e finished before the one from s began.
     """
     best = [0]
     nodes = 0
@@ -145,11 +150,12 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
                 return best, nodes, True
             x = low.bit_length() - 1
             new_closed = closed[-1] | masks[path[-1]] | block[x]
-            if len(path) + n - new_closed.bit_count() < len(best):
+            nxt = masks[x] & ~new_closed
+            if len(path) + (nxt != 0) + n - (new_closed | masks[x]).bit_count() < len(best):
                 continue
             path.append(x)
             closed.append(new_closed)
-            cands.append(masks[x] & ~new_closed)
+            cands.append(nxt)
             if len(path) > len(best):
                 best = path.copy()
                 if len(best) == limit:

@@ -96,24 +96,29 @@ def _all_paths(g: Graph):
         yield from extend([start], {start})
 
 
-def naive_longest_induced_path_order(g: Graph) -> int:
-    best = 0
+def _first_longest(g: Graph, keep) -> tuple[int, ...]:
+    """The first path of maximum order among those of _all_paths that keep
+    accepts, in _all_paths' pre-order: starts ascending, each vertex's
+    neighbors ascending (adjacency_lists reads the edges in lexicographic
+    order). A later path replaces the best only when strictly longer."""
+    best: tuple[int, ...] = ()
     for seq in _all_paths(g):
-        if len(seq) > best and is_induced_seq(g, seq):
-            best = len(seq)
+        if len(seq) > len(best) and keep(seq):
+            best = tuple(seq)
     return best
 
 
-def naive_longest_induced_rainbow_path_order(cg: ColoredGraph) -> int:
+def naive_longest_induced_path(g: Graph) -> tuple[int, ...]:
+    """The first maximum-order induced path in _all_paths' pre-order."""
+    return _first_longest(g, lambda seq: is_induced_seq(g, seq))
+
+
+def naive_longest_induced_rainbow_path(cg: ColoredGraph) -> tuple[int, ...]:
+    """The first maximum-order induced path with pairwise distinct colors
+    in _all_paths' pre-order."""
     g = cg.graph
-    best = 0
-    for seq in _all_paths(g):
-        if len(seq) <= best:
-            continue
-        colors = [cg.color_of(v) for v in seq]
-        if len(set(colors)) == len(seq) and is_induced_seq(g, seq):
-            best = len(seq)
-    return best
+    return _first_longest(g, lambda seq: len({cg.color_of(v) for v in seq}) == len(seq)
+                          and is_induced_seq(g, seq))
 
 
 def naive_most_colorful_path_from(cg: ColoredGraph, start: int) -> tuple[int, ...]:

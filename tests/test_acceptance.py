@@ -43,7 +43,7 @@ from rainbowpath import (
 from rainbowpath.grading import verify_witness_outcome
 from test_colorful import check_steps
 from test_grading import random_colored, random_grading
-from helpers import naive_longest_induced_rainbow_path_order
+from helpers import naive_longest_induced_rainbow_path
 
 
 def optimal_colorings(g, cap):
@@ -201,8 +201,8 @@ def test_oracle_cross_validation():
         n = 4 + i % 6  # 4..9
         g = random_triangle_free(n, 0.3 + (i % 4) * 0.1, seed=4000 + i)
         cg = ColoredGraph(g, dsatur_coloring(g))
-        fast = longest_induced_rainbow_path(cg).path.order
-        naive = naive_longest_induced_rainbow_path_order(cg)
+        fast = longest_induced_rainbow_path(cg).path.vertices
+        naive = naive_longest_induced_rainbow_path(cg)
         assert fast == naive
         agreements += 1
     print(f"ACCEPTANCE PASS: rainbow search equals unpruned enumerator on {agreements} colored graphs")

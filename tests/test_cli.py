@@ -262,6 +262,14 @@ class TestOracleCommand:
         assert "longest induced path" in out and "order 4" in out
         assert "longest induced rainbow path" in out and "order 3" in out
         assert "color-orientation path: [2, 3, 4]" in out
+        # each search's node count stands beside its exactness
+        assert "(order 4, exact=True, nodes=12)" in out
+        assert "(order 3, exact=True, nodes=3)" in out
+        code, out, _ = run(capsys, "oracle", encode_graph6(c5), "--coloring", "1 2 1 2 3",
+                           "--budget", "2")
+        assert code == 0
+        assert "longest induced path: [0, 1, 2] (order 3, exact=False, nodes=3)" in out
+        assert "longest induced rainbow path: [0, 1] (order 2, exact=False, nodes=3)" in out
 
     def test_bad_coloring_file_exits_before_any_search(self, capsys, tmp_path, c5):
         coloring = tmp_path / "col.txt"

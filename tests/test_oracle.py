@@ -35,8 +35,8 @@ from rainbowpath.oracle import _color_orientation
 from helpers import (
     every_graph,
     naive_longest_directed_path,
-    naive_longest_induced_path_order,
-    naive_longest_induced_rainbow_path_order,
+    naive_longest_induced_path,
+    naive_longest_induced_rainbow_path,
     naive_most_colorful_path_from,
     random_proper_coloring,
 )
@@ -77,7 +77,7 @@ class TestLongestInducedPath:
         # frozen from the naive enumerator and an independent permutation
         # brute force: no induced path on 6 vertices exists
         assert longest_induced_path(petersen).path.order == 5
-        assert naive_longest_induced_path_order(petersen) == 5
+        assert len(naive_longest_induced_path(petersen)) == 5
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
@@ -91,24 +91,48 @@ class TestLongestInducedPath:
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_and_is_valid(self, g):
+        # the very path, not just its order: the bound cuts only extensions
+        # that could at best tie, so the first longest path is kept
         result = longest_induced_path(g)
         assert result.exact
-        assert result.path.order == naive_longest_induced_path_order(g)
+        assert result.path.vertices == naive_longest_induced_path(g)
         cg = ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))
         assert classify_path(cg, result.path.vertices).is_induced
 
     def test_every_graph_on_five_vertices(self):
-        # exact and maximum on every graph; under all-distinct colors the
-        # rainbow search is the same search
+        # exact and the first longest path on every graph; under all-distinct
+        # colors the rainbow search is the same search, and under DSATUR
+        # colors it returns the first longest rainbow path
         distinct = Coloring(tuple(range(1, 6)))
         for g in every_graph(5):
             result = longest_induced_path(g)
             assert result.exact
-            assert result.path.order == naive_longest_induced_path_order(g)
+            assert result.path.vertices == naive_longest_induced_path(g)
             assert result.path.vertices[0] <= result.path.vertices[-1]
             rainbow = longest_induced_rainbow_path(ColoredGraph(g, distinct))
             assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
                 result.path, result.nodes, result.exact)
+            cg = ColoredGraph(g, dsatur_coloring(g))
+            assert longest_induced_rainbow_path(cg).path.vertices == (
+                naive_longest_induced_rainbow_path(cg))
+
+    def test_node_counts_at_benchmark_scale(self):
+        # the exact-solvers benchmark graphs at seeds 0-4: the total node
+        # count is pinned, and under all-distinct colors the rainbow search
+        # is the same search on each graph
+        budget = SearchBudget(max_vertices=28)
+        total = 0
+        for n in range(14, 29, 2):
+            for seed in range(5):
+                g = random_triangle_free(n, 0.35, seed=seed)
+                plain = longest_induced_path(g, budget)
+                assert plain.exact
+                cg = ColoredGraph(g, Coloring(tuple(range(1, n + 1))))
+                rainbow = longest_induced_rainbow_path(cg, budget)
+                assert (rainbow.path, rainbow.nodes, rainbow.exact) == (
+                    plain.path, plain.nodes, plain.exact)
+                total += plain.nodes
+        assert total == 120_120
 
 
 class TestLongestInducedRainbowPath:
@@ -150,9 +174,18 @@ class TestLongestInducedRainbowPath:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive(self, cg):
         result = longest_induced_rainbow_path(cg)
-        assert result.path.order == naive_longest_induced_rainbow_path_order(cg)
+        assert result.path.vertices == naive_longest_induced_rainbow_path(cg)
         report = classify_path(cg, result.path.vertices)
         assert report.is_induced and report.is_rainbow
+
+    @given(sparse_colored_graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_path_under_sparse_colorings(self, cg):
+        # often more colors than chi: the search rarely stops at the
+        # palette, so the bound decides which longest path is kept
+        result = longest_induced_rainbow_path(cg)
+        assert result.exact
+        assert result.path.vertices == naive_longest_induced_rainbow_path(cg)
 
     @given(colored_graphs())
     @settings(max_examples=40, deadline=None)
@@ -412,7 +445,10 @@ class TestFrozenSearches:
     search loops moved into oracle.py. The induced and rainbow records were
     re-recorded when those searches gained their open-vertex bound: every
     full-budget path and exactness stayed, and only node counts (and so
-    the half budgets) dropped.
+    the half budgets) dropped. They were re-recorded again when that bound
+    counted one neighbor of the extension in place of all of them: every
+    full-budget path and exactness stayed, and full-budget nodes went from
+    6,679 to 3,799.
 
     Inputs: random_triangle_free(12, 0.4, seed) for seeds 0-7, under DSATUR
     colors (the rainbow search reaches the palette) and all-distinct colors
