@@ -216,7 +216,7 @@ def _make_config(args, thorough: bool) -> HarnessConfig:
         coloring_cap=args.cap,
         extra_samples=args.samples,
         max_nodes=args.budget,
-        parallelism=getattr(args, "jobs", 1),
+        parallelism=getattr(args, "jobs", HarnessConfig.parallelism),
         seed=args.seed,
         thorough=thorough,
         output_path=args.out,
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact search results for one graph")
     p.add_argument("graph6")
     _add_coloring_args(p)
-    p.add_argument("--budget", type=int, default=10**8, help="search-node cap")
+    p.add_argument("--budget", type=int, default=SearchBudget.max_nodes, help="search-node cap")
     p.set_defaults(func=_cmd_oracle)
 
     verdicts = "; exits 2 on a proved violation, else 3 if a search was cut short below chi"
@@ -315,15 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("graph6")
         else:
             p.add_argument("path")
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=int, default=HarnessConfig.parallelism,
                            help="worker processes, at most one per graph and per CPU")
-        p.add_argument("--cap", type=int, default=1000, help="colorings per graph")
-        p.add_argument("--delta", type=int, default=0,
+        p.add_argument("--cap", type=int, default=HarnessConfig.coloring_cap,
+                       help="colorings per graph")
+        p.add_argument("--delta", type=int, default=HarnessConfig.max_colors_delta,
                        help="extra colors beyond chi, up to n in all")
-        p.add_argument("--samples", type=int, default=0,
+        p.add_argument("--samples", type=int, default=HarnessConfig.extra_samples,
                        help="random colorings beyond the cap")
-        p.add_argument("--budget", type=int, default=10**8, help="search-node cap")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=int, default=HarnessConfig.max_nodes,
+                       help="search-node cap")
+        p.add_argument("--seed", type=int, default=HarnessConfig.seed)
         p.add_argument("--thorough", action="store_true",
                        help="run the colorful construction from every vertex")
         p.add_argument("--out", help="output path (JSON / JSONL)")

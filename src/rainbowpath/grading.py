@@ -105,7 +105,8 @@ def singleton_grading(g: Graph) -> Grading:
 def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
     """Build a grading from a vertex partition, coloring each part greedily.
 
-    k becomes the largest per-part palette actually needed.
+    k becomes the largest per-part palette actually needed, and at least 1:
+    an empty part's palette is 0.
     """
     from .chromatic import dsatur_coloring
 
@@ -116,7 +117,7 @@ def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
         color = dict(zip(sorted(set(part)), local.colors))
         ordered = tuple(color[v] for v in part)
         colorings.append(ordered)
-        k = max(k, local.palette_size if part else 1)
+        k = max(k, local.palette_size)
     return Grading(
         parts=tuple(tuple(p) for p in parts),
         part_colorings=tuple(colorings),

@@ -76,7 +76,8 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating and symmetrizing.
 
-    Raises GraphError for endpoints outside [0, n) or self-loops.
+    Raises GraphError for endpoints outside [0, n), checked before the
+    masks are indexed; Graph itself refuses a self-loop.
     """
     if n < 0:
         raise GraphError("vertex count must be non-negative")
@@ -84,8 +85,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))

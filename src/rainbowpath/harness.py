@@ -116,14 +116,18 @@ def coloring_digest(coloring: Coloring) -> str:
 def _colorful_pivots(g: Graph, chi: int, thorough: bool) -> list[int]:
     """Start vertices for the colorful construction, which runs in its
     start's component: the first component whose chromatic number attains
-    chi (the only one when g is connected), its smallest vertex or, when
-    thorough, all of its vertices.
+    chi, its smallest vertex or, when thorough, all of its vertices.
+
+    Every component is asked, a connected graph's one too: its induced
+    subgraph equals g, so its chi is a cache hit on the chi(g) that
+    check_graph has just computed. Some component of a nonempty graph
+    attains chi(g), so only the empty graph, which has no component, gets
+    no pivot.
     """
-    comps = connected_components(g)
-    for comp in comps:
-        if len(comps) == 1 or chromatic_number(induced_subgraph(g, comp)).chi == chi:
+    for comp in connected_components(g):
+        if chromatic_number(induced_subgraph(g, comp)).chi == chi:
             return list(comp) if thorough else [comp[0]]
-    raise GraphError("no component attains the graph's chromatic number")
+    return []
 
 
 def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
@@ -247,15 +251,15 @@ def check_graph(g: Graph, cfg: HarnessConfig, graph_id: str = "graph") -> Conjec
     Source, probe, fold: _coloring_source picks the colorings, _probe runs
     the three probes under each, and _fold turns their records into the
     report. The colorful construction starts from the pivots of
-    _colorful_pivots and stays in their component, so a disconnected graph
-    takes the same path as a connected one. The empty graph is checked
-    under no coloring, whatever the delta.
+    _colorful_pivots and stays in their component. Every graph takes the
+    same path, connected or not, empty or not: the empty graph has no
+    pivot and is checked under no coloring, whatever the delta.
     """
     if not is_triangle_free(g):
         raise GraphError(f"{graph_id}: graph contains a triangle")
     chi = chromatic_number(g).chi
     colorings, truncated = _coloring_source(g, chi, cfg, graph_id)
-    pivots = _colorful_pivots(g, chi, cfg.thorough) if g.n else []
+    pivots = _colorful_pivots(g, chi, cfg.thorough)
     budget = SearchBudget(max_nodes=cfg.max_nodes, on_exceed="flag")
     probed = (_probe(cg, pivots, budget) for cg in colorings)
     return _fold(g, cfg, graph_id, chi, truncated, zip(colorings, probed))

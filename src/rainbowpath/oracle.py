@@ -18,7 +18,9 @@ silently returned. Their results, node counts included, follow one contract:
 
 - candidates are tried in ascending vertex id;
 - the best result is replaced only on strict improvement;
-- each path extension counts one search node against the budget;
+- each path extension counts one search node against the budget; a search
+  whose budget is spent stops, inexact, before it counts or tries another
+  extension, so it never reports more nodes than its budget;
 - an extension rejected by a bound (the path searches' open-vertex bound,
   which counts one vertex of the extension's neighbors and every open vertex
   outside them, or the most-colorful search's color bound) still counts its
@@ -143,11 +145,11 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
                 closed.pop()
                 cands.pop()
                 continue
+            if nodes == max_nodes:
+                return best, nodes, True
+            nodes += 1
             low = cands[-1] & -cands[-1]
             cands[-1] ^= low
-            nodes += 1
-            if nodes > max_nodes:
-                return best, nodes, True
             x = low.bit_length() - 1
             new_closed = closed[-1] | masks[path[-1]] | block[x]
             nxt = masks[x] & ~new_closed
@@ -205,12 +207,12 @@ def _search_most_colorful(
             used.pop()
             cands.pop()
             continue
+        if nodes == max_nodes:
+            return best, nodes, True
+        nodes += 1
         low = cands[-1] & -cands[-1]
         cands[-1] ^= low
         x = low.bit_length() - 1
-        nodes += 1
-        if nodes > max_nodes:
-            return best, nodes, True
         new_closed = closed[-1] | masks[path[-1]] | low
         new_used = used[-1] | color_bit[x]
         count = new_used.bit_count()

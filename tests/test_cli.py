@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path as FilePath
 import pytest
 
 import rainbowpath.harness
-from rainbowpath import Path, build_graph, cycle_graph, decode_graph6, encode_graph6, petersen_graph
-from rainbowpath.cli import main, read_grading_file
+from rainbowpath import (HarnessConfig, Path, SearchBudget, build_graph, cycle_graph, decode_graph6,
+                         encode_graph6, petersen_graph)
+from rainbowpath.cli import _make_config, build_parser, main, read_grading_file
 from rainbowpath.oracle import SearchResult
 
 
@@ -268,8 +270,9 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", encode_graph6(c5), "--coloring", "1 2 1 2 3",
                            "--budget", "2")
         assert code == 0
-        assert "longest induced path: [0, 1, 2] (order 3, exact=False, nodes=3)" in out
-        assert "longest induced rainbow path: [0, 1] (order 2, exact=False, nodes=3)" in out
+        # a cut search reports the nodes it spent, never more than its budget
+        assert "longest induced path: [0, 1, 2] (order 3, exact=False, nodes=2)" in out
+        assert "longest induced rainbow path: [0, 1] (order 2, exact=False, nodes=2)" in out
 
     def test_bad_coloring_file_exits_before_any_search(self, capsys, tmp_path, c5):
         coloring = tmp_path / "col.txt"
@@ -337,6 +340,19 @@ def one_vertex_rainbow(monkeypatch):
 # Mycielski-3 (chi 5): with 5-node searches every rainbow search is cut
 # short at order 4, which proves no shortfall
 MYCIELSKI_3 = "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
+
+
+class TestDefaults:
+    """Each sweep and search flag takes its default from the field it fills."""
+
+    @pytest.mark.parametrize("argv", [["check", "G"], ["corpus", "F"]])
+    def test_sweep_flags_default_to_harness_config(self, argv):
+        args = build_parser().parse_args(argv)
+        cfg = _make_config(args, args.thorough)
+        assert dataclasses.replace(cfg, output_path=None) == HarnessConfig()
+
+    def test_oracle_budget_defaults_to_search_budget(self):
+        assert build_parser().parse_args(["oracle", "G"]).budget == SearchBudget().max_nodes
 
 
 class TestCheckCommand:

@@ -64,6 +64,18 @@ class TestGradingValidation:
         gr = Grading(parts=(tuple(range(5)),), part_colorings=((1, 2, 1, 2, 3),), k=3)
         validate_grading(c5, gr)
 
+    @pytest.mark.parametrize("n, edges, parts, k", [
+        (0, [], [[]], 1),
+        (2, [], [[1], [], [0]], 1),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [[], [4, 0, 1, 2, 3], []], 3),
+    ])
+    def test_partition_k_ignores_empty_parts(self, n, edges, parts, k):
+        # an empty part needs no color, so k is the largest palette of a
+        # nonempty part, and 1 when there is none
+        grading = grading_from_partition(build_graph(n, edges), parts)
+        assert grading.k == k
+        assert [len(c) for c in grading.part_colorings] == [len(p) for p in parts]
+
     def test_overlap_rejected(self, c5):
         gr = Grading(parts=((0, 1), (1, 2, 3, 4)), part_colorings=((1, 2), (1, 2, 1, 2)), k=2)
         with pytest.raises(GradingError):

@@ -21,16 +21,18 @@ from rainbowpath import (
     build_graph,
     canonical_form,
     check_graph,
+    chromatic_number,
     cycle_graph,
     encode_graph6,
     iter_colorings,
     mycielski_iterates,
+    random_triangle_free,
     report_to_json,
     run_corpus,
 )
 from rainbowpath.chromatic import MAX_VERTICES
 from rainbowpath.graphs import GraphError, Path as GraphPath
-from rainbowpath.harness import _coloring_source, coloring_digest
+from rainbowpath.harness import _colorful_pivots, _coloring_source, coloring_digest
 from rainbowpath.oracle import GallaiRoyPath, SearchResult
 from helpers import naive_coloring_digest
 
@@ -218,6 +220,51 @@ class TestCheckGraph:
         payload = json.loads(line)
         assert list(payload)[:5] == ["graph_id", "graph6", "n", "m", "chi"]
         assert payload["graph6"] == encode_graph6(c5)
+
+
+class TestColorfulPivots:
+    """The construction's pivots lie in the first component that attains
+    chi: its smallest vertex, or all of it when thorough."""
+
+    C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
+    @pytest.mark.parametrize("n, edges, pivot, component", [
+        pytest.param(0, [], [], [], id="empty"),
+        pytest.param(5, C5, [0], [0, 1, 2, 3, 4], id="connected"),
+        pytest.param(7, [(0, 1)] + [(u + 2, v + 2) for u, v in C5], [2], [2, 3, 4, 5, 6],
+                     id="weaker-first"),
+        pytest.param(8, C5 + [(5, 6)], [0], [0, 1, 2, 3, 4], id="stronger-first"),
+    ])
+    def test_table(self, n, edges, pivot, component):
+        g = build_graph(n, edges)
+        chi = chromatic_number(g).chi
+        assert _colorful_pivots(g, chi, thorough=False) == pivot
+        assert _colorful_pivots(g, chi, thorough=True) == component
+
+    def test_connected_graph_asks_the_cache(self, grotzsch):
+        # a connected graph's one component is the graph itself, so its chi
+        # is the one check_graph has just computed
+        chi = chromatic_number(grotzsch).chi
+        before = chromatic_number.cache_info()
+        assert _colorful_pivots(grotzsch, chi, thorough=False) == [0]
+        after = chromatic_number.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    @pytest.mark.parametrize("i", range(32))
+    def test_random_thorough_graphs(self, i, c5, grotzsch):
+        # the random-thorough benchmark's seed-0 graphs, with the pivots the
+        # rule gave when a connected graph skipped its chi lookup: the 31
+        # connected graphs pivot on vertex 0, all of them when thorough, and
+        # Grotzsch + C5 on its first component, Grotzsch
+        if i < 30:
+            g = random_triangle_free(18, 0.3, seed=i)
+        elif i == 30:
+            g = grotzsch
+        else:
+            g = build_graph(16, list(grotzsch.edges()) + [(11 + u, 11 + v) for u, v in c5.edges()])
+        chi = chromatic_number(g).chi
+        assert _colorful_pivots(g, chi, thorough=False) == [0]
+        assert _colorful_pivots(g, chi, thorough=True) == list(range(11 if i == 31 else g.n))
 
 
 class TestColoringDigest:

@@ -457,7 +457,10 @@ class TestFrozenSearches:
     node accounting are pinned as well. The most-colorful records were
     re-recorded when that search gained its full-palette exit and its
     length-aware color bound: every full-budget path and exactness stayed,
-    and full-budget nodes went from 648 to 398.
+    and full-budget nodes went from 648 to 398. The half records were
+    re-recorded when a cut search stopped counting the extension past its
+    budget: every path and exactness stayed, and each cut search's nodes
+    fell by one, to its budget.
     """
 
     SEARCHES = {
@@ -491,6 +494,28 @@ class TestFrozenSearches:
         assert self._record(half) == case["half"]
 
 
+class TestBudgetAccounting:
+    """A search spends at most its budget: on a budget below the nodes the
+    full search spends it is cut there, inexact, and on any larger budget
+    it is the full search."""
+
+    @pytest.mark.parametrize("search", TestFrozenSearches.SEARCHES)
+    @pytest.mark.parametrize("graph", ["petersen", "c5", "random0", "random1", "random2"])
+    def test_nodes_never_exceed_the_budget(self, request, search, graph):
+        g = (request.getfixturevalue(graph) if not graph.startswith("random")
+             else random_triangle_free(10, 0.4, seed=int(graph[-1])))
+        fn = TestFrozenSearches.SEARCHES[search]
+        for cg in (ColoredGraph(g, dsatur_coloring(g)),
+                   ColoredGraph(g, Coloring(tuple(range(1, g.n + 1))))):
+            full = fn(cg, SearchBudget())
+            for max_nodes in range(1, full.nodes + 2):
+                result = fn(cg, SearchBudget(max_nodes=max_nodes, on_exceed="flag"))
+                assert result.nodes == min(max_nodes, full.nodes)
+                assert result.exact == (max_nodes >= full.nodes)
+                if result.exact:
+                    assert result == full
+
+
 class TestFrozenMostColorful:
     """(vertices, nodes, exact) of max_colorful_induced_path_from, frozen
     before its color bound was computed from color-class masks and tested
@@ -505,7 +530,10 @@ class TestFrozenMostColorful:
     shows in the cut-off path or the node count. The node counts and cut
     records were re-recorded when the search gained its full-palette exit
     and its length-aware color bound: every full-budget path and exactness
-    stayed, and full-budget nodes went from 39,310 to 13,327.
+    stayed, and full-budget nodes went from 39,310 to 13,327. The cut
+    records were re-recorded when a cut search stopped counting the
+    extension past its budget: every path and exactness stayed, and each
+    cut record's nodes fell by one, to its budget.
     """
 
     CASES = json.loads((DATA / "frozen_most_colorful.json").read_text(encoding="ascii"))
