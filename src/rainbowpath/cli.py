@@ -245,7 +245,7 @@ def _cmd_corpus(args) -> int:
     for reason in summary.skipped:
         print(f"skipped {reason}")
     print(f"wall time: {summary.wall_time:.2f}s")
-    return 2 if summary.violations else 3 if summary.undecided else 0
+    return 1 if summary.failed else 2 if summary.violations else 3 if summary.undecided else 0
 
 
 def _add_coloring_args(p: argparse.ArgumentParser) -> None:

@@ -11,7 +11,8 @@ so R sees at least ceil(chi_lb / 2) distinct colors while staying induced.
 
 The induction runs as one loop, a level per pass. Its bound is the exact
 chromatic number of the start's component, from the per-graph facts below,
-unless the caller passes one; it lowers the bound by two per level, exactly
+unless the caller passes one, which alone pays for a DSATUR coloring of that
+component to check it against; it lowers the bound by two per level, exactly
 like the induction it implements, and the trace audits it with the exact
 chromatic number of every recursed subgraph. It works on
 vertex bitmasks of the original graph, removing a color as one mask of the
@@ -125,7 +126,6 @@ _Level = tuple[int, tuple[int, ...], int, int, int]
 class _GraphFacts(NamedTuple):
     triangle_free: bool
     component: list[int]
-    upper_bound: list[int]
     chi: Callable[[int], int]
     level: Callable[[int, int, int], _Level]
 
@@ -133,10 +133,11 @@ class _GraphFacts(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _graph_facts(g: Graph) -> _GraphFacts:
     """What the construction needs to know about g whatever its coloring:
-    triangle-free; per vertex, the bitmask of its connected component and an
-    upper bound on that component's chi (the colors DSATUR uses on it); a
+    triangle-free; per vertex, the bitmask of its connected component; a
     memoized chi of the subgraph induced by a vertex bitmask; and a memoized
-    level of the construction.
+    level of the construction. Nothing here colors g greedily: only an
+    explicit bound needs an upper bound on chi, and colorful_path_from works
+    it out when it is given one.
 
     A level reads the coloring only through the vertex set left once the
     start's color class is removed, so `level(active, v, remaining)` gives
@@ -166,16 +167,12 @@ def _graph_facts(g: Graph) -> _GraphFacts:
         bridge = next(u for u in _bits(fan) if masks[u] & c2)
         return c1, p, fan, c2, bridge
 
-    colors = dsatur_coloring(g).colors
     component = [0] * g.n
-    upper_bound = [0] * g.n
     for comp in connected_components(g):
         mask = sum(1 << v for v in comp)
-        palette = len({colors[v] for v in comp})
         for v in comp:
             component[v] = mask
-            upper_bound[v] = palette
-    return _GraphFacts(is_triangle_free(g), component, upper_bound, chi, level)
+    return _GraphFacts(is_triangle_free(g), component, chi, level)
 
 
 def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int | None = None) -> ColorfulResult:
@@ -184,24 +181,25 @@ def colorful_path_from(cg: ColoredGraph, start: int, chi_lb: int | None = None) 
     Runs inside the connected component C of `start`, so the graph need not
     be connected, and requires a triangle-free graph. chi_lb defaults to
     chi(C), computed once per graph, which is the bound the paper's theorem
-    proves. A bound given on purpose must be positive and is checked against
-    a cheap upper bound on chi(C): the colors a DSATUR coloring uses on it. A
-    bound overstated past that check surfaces as a structural error at some
-    level, or not at all when the path still sees ceil(chi_lb/2) colors. The
-    result's `steps`, with the exact chi of every recursed subgraph, are
-    built on first read.
+    proves. A bound given on purpose must be positive and is checked, before
+    any level runs, against a cheap upper bound on chi(C): the colors a
+    DSATUR coloring of C uses, computed for that call only, so the default
+    bound costs no DSATUR pass. A bound overstated past that check surfaces
+    as a structural error at some level, or not at all when the path still
+    sees ceil(chi_lb/2) colors. The result's `steps`, with the exact chi of
+    every recursed subgraph, are built on first read.
     """
     g = cg.graph
     if not 0 <= start < g.n:
         raise GraphError(f"start vertex {start} not in graph")
     if chi_lb is not None and chi_lb < 1:
         raise GraphError("chromatic lower bound must be positive")
-    triangle_free, component, upper_bound, chi, level = _graph_facts(g)
+    triangle_free, component, chi, level = _graph_facts(g)
     if not triangle_free:
         raise GraphError("construction requires a triangle-free graph")
     if chi_lb is None:
         chi_lb = chi(component[start])
-    elif chi_lb > upper_bound[start]:
+    elif chi_lb > dsatur_coloring(induced_subgraph(g, _bits(component[start]))).palette_size:
         raise GraphError(f"chromatic lower bound {chi_lb} exceeds a verifiable upper bound")
 
     active, v, lb = component[start], start, chi_lb

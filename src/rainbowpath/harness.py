@@ -56,7 +56,7 @@ class HarnessConfig:
     max_colors_delta: int = 0
     coloring_cap: int = 1000
     extra_samples: int = 0
-    max_nodes: int = 10**8
+    max_nodes: int = SearchBudget.max_nodes
     parallelism: int = 1
     seed: int = 0
     thorough: bool = False
@@ -141,6 +141,11 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
     rng seeded with the config's seed and the graph id: random proper
     colorings, canonicalized, new ones only, best effort within 20
     attempts per sample, each checked by the validating ColoredGraph.
+
+    A sample is new when it was neither enumerated nor drawn before. The
+    enumerated prefix is every canonical coloring up to the last one
+    emitted, so only the samples are kept in a set, of at most
+    extra_samples entries, whatever the cap.
     """
     # no coloring of n vertices uses more than n colors; the empty graph's one
     # coloring would leave the probes nothing to search, so it is not swept
@@ -151,10 +156,12 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
     if not (truncated and cfg.extra_samples):
         return colorings, truncated
     rng = random.Random(f"{cfg.seed}:{graph_id}")
-    seen = {cg.coloring.colors for cg in colorings}
-    wanted = len(colorings) + cfg.extra_samples
+    # the enumeration emits every canonical coloring in lexicographic order, so
+    # a canonical sample is new exactly when it comes after the last one emitted
+    last = colorings[-1].coloring.colors
+    samples: set[tuple[int, ...]] = set()
     for _ in range(20 * cfg.extra_samples):
-        if len(colorings) == wanted:
+        if len(samples) == cfg.extra_samples:
             break
         order = list(range(g.n))
         rng.shuffle(order)
@@ -167,8 +174,8 @@ def _coloring_source(g: Graph, chi: int, cfg: HarnessConfig,
             colors[v] = rng.choice(options)
         else:
             canon = canonical_form(Coloring(tuple(colors)))
-            if canon.colors not in seen:
-                seen.add(canon.colors)
+            if canon.colors > last and canon.colors not in samples:
+                samples.add(canon.colors)
                 colorings.append(ColoredGraph(g, canon))
     return colorings, truncated
 
@@ -288,12 +295,15 @@ def report_to_json(report: ConjectureReport) -> str:
 @dataclass
 class CorpusSummary:
     """Counts of a corpus run: a report of verdict 2 is a violation, and one
-    of verdict 3 is undecided."""
+    of verdict 3 is undecided. A graph whose check raised on a valid input,
+    a fault of the program rather than a finding, writes no report: it is
+    counted as failed and named, with the error, among the skipped."""
 
     graphs_processed: int = 0
     checks_run: int = 0
     violations: int = 0
     undecided: int = 0
+    failed: int = 0
     skipped: list[str] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -303,7 +313,9 @@ _Result = tuple[str, str | None, str | None, int, int]
 
 def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
     """Worker: returns (graph_id, json_line or None, skip_reason or None,
-    colorings_checked, verdict); a skipped graph checks none, at verdict 0."""
+    colorings_checked, code); the code is the verdict, 0 for a skipped
+    input, or 1 when check_graph raised on a valid input. The triangle
+    pre-check keeps that last clause for failures inside the check."""
     graph_id, text, cfg = args
     try:
         g = decode_graph6(text)
@@ -315,6 +327,9 @@ def _check_line(args: tuple[str, str, HarnessConfig]) -> _Result:
         report = check_graph(g, cfg, graph_id)
     except TooLargeError as exc:
         return graph_id, None, str(exc), 0, 0
+    except GraphError as exc:
+        log.exception("%s: check failed", graph_id)
+        return graph_id, None, f"check failed: {exc}", 0, 1
     return graph_id, report_to_json(report), None, report.colorings_checked, verdict(report)
 
 
@@ -338,8 +353,10 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
     cfg.output_path (default: '<corpus>.reports.jsonl').
 
     Malformed lines, graphs with a triangle and graphs above the exact
-    chromatic search's vertex cap are skipped with a warning. Deterministic
-    for a fixed config and seed.
+    chromatic search's vertex cap are skipped with a warning. A graph whose
+    check fails is logged with its traceback, skipped and counted as
+    failed, and the run goes on to the next graph. Deterministic for a
+    fixed config and seed.
     """
     started = time.perf_counter()
     out_path = cfg.output_path or f"{path}.reports.jsonl"
@@ -351,6 +368,7 @@ def run_corpus(path: str | FilePath, cfg: HarnessConfig) -> CorpusSummary:
             if line is None:
                 log.warning("%s skipped: %s", graph_id, skip_reason)
                 summary.skipped.append(f"{graph_id}: {skip_reason}")
+                summary.failed += code == 1
                 continue
             out.write(line + "\n")
             summary.graphs_processed += 1

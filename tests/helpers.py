@@ -272,6 +272,43 @@ def naive_canonical_colorings(g: Graph, max_colors: int) -> set[tuple[int, ...]]
     return out
 
 
+def reference_sample_top_up(g: Graph, enumerated: list[tuple[int, ...]], max_colors: int,
+                            extra_samples: int, seed: int,
+                            graph_id: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The coloring source's sample top-up under its first dedupe rule: the
+    colors of every swept coloring, enumerated ones included, kept in one
+    set, and a canonical sample swept when it is not in that set, until
+    extra_samples were added or 20 attempts per sample were spent. The
+    draws take the harness's seeded rng in the same order. Returns the
+    swept colors, enumerated first, and every canonical sample drawn."""
+    rng = random.Random(f"{seed}:{graph_id}")
+    adj = adjacency_lists(g)
+    swept = list(enumerated)
+    seen = set(swept)
+    drawn: list[tuple[int, ...]] = []
+    wanted = len(swept) + extra_samples
+    for _ in range(20 * extra_samples):
+        if len(swept) == wanted:
+            break
+        order = list(range(g.n))
+        rng.shuffle(order)
+        colors = [0] * g.n
+        for v in order:
+            banned = {colors[u] for u in adj[v]}
+            options = [c for c in range(1, max_colors + 1) if c not in banned]
+            if not options:
+                break
+            colors[v] = rng.choice(options)
+        else:
+            rename: dict[int, int] = {}
+            canon = tuple(rename.setdefault(c, len(rename) + 1) for c in colors)
+            drawn.append(canon)
+            if canon not in seen:
+                seen.add(canon)
+                swept.append(canon)
+    return swept, drawn
+
+
 def is_bipartite_bfs(g: Graph) -> bool:
     side = [-1] * g.n
     for start in range(g.n):

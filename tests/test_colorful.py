@@ -136,7 +136,7 @@ class TestDisconnected:
     def test_bound_overstated_for_start_component_rejected(self, g, colorings):
         for cg in colorings:
             for start in range(5):
-                with pytest.raises(GraphError):
+                with pytest.raises(GraphError, match="exceeds a verifiable upper bound"):
                     colorful_path_from(cg, start, 4)
 
 
@@ -148,7 +148,7 @@ class TestErrors:
             colorful_path_from(cg, 0, 3)
 
     def test_overstated_bound_rejected(self, c5, c5_colored):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="exceeds a verifiable upper bound"):
             colorful_path_from(c5_colored, 0, 10)
 
     def test_bad_start(self, c5_colored):

@@ -31,10 +31,12 @@ from rainbowpath import (
     run_corpus,
 )
 from rainbowpath.chromatic import MAX_VERTICES
+from rainbowpath.cli import main
+from rainbowpath.colorful import _graph_facts
 from rainbowpath.graphs import GraphError, Path as GraphPath
 from rainbowpath.harness import _colorful_pivots, _coloring_source, coloring_digest
 from rainbowpath.oracle import GallaiRoyPath, SearchResult
-from helpers import naive_coloring_digest
+from helpers import naive_coloring_digest, reference_sample_top_up
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,6 +167,30 @@ class TestCheckGraph:
         monkeypatch.setattr(rainbowpath.colorful, "ColorfulStep", refuse)
         assert [report_to_json(check_graph(g, cfg)) for g in (c5, grotzsch)] == expected
 
+    def test_sweep_runs_no_dsatur(self, monkeypatch):
+        # the construction runs at its default bound, which needs no upper
+        # bound on chi: the mycielski-sweep graphs, K2 to Mycielski-3 at cap
+        # 1000, are swept with no DSATUR coloring, through any binding
+        calls = []
+
+        def counted(original):
+            def color(g):
+                calls.append(g.n)
+                return original(g)
+            return color
+
+        modules = [importlib.import_module(f"rainbowpath.{m.name}")
+                   for m in pkgutil.iter_modules(rainbowpath.__path__) if m.name != "__main__"]
+        binding = [m for m in modules if "dsatur_coloring" in vars(m)]
+        assert rainbowpath.colorful in binding
+        for module in binding:
+            monkeypatch.setattr(module, "dsatur_coloring", counted(module.dsatur_coloring))
+        _graph_facts.cache_clear()
+        cfg = HarnessConfig(coloring_cap=1000)
+        reports = [check_graph(g, cfg) for g in mycielski_iterates(3)]
+        assert sum(r.colorings_checked for r in reports) == 1526
+        assert calls == []
+
     @pytest.mark.parametrize("thorough", [False, True])
     def test_sweep_walks_back_no_gallai_roy_path(self, monkeypatch, c5, grotzsch, thorough):
         # records read only the Gallai-Roy order, the number of levels, so
@@ -222,6 +248,16 @@ class TestCheckGraph:
         assert payload["graph6"] == encode_graph6(c5)
 
 
+def _random_thorough_graphs(seed):
+    """The random-thorough benchmark's corpus at a seed, with the graph ids
+    a corpus run gives its lines."""
+    grotzsch = mycielski_iterates(2)[-1]
+    c5 = cycle_graph(5)
+    union = build_graph(16, list(grotzsch.edges()) + [(11 + u, 11 + v) for u, v in c5.edges()])
+    graphs = [random_triangle_free(18, 0.3, seed=seed + i) for i in range(30)] + [grotzsch, union]
+    return [(f"line{i}", g) for i, g in enumerate(graphs, 1)]
+
+
 class TestColorfulPivots:
     """The construction's pivots lie in the first component that attains
     chi: its smallest vertex, or all of it when thorough."""
@@ -251,20 +287,65 @@ class TestColorfulPivots:
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     @pytest.mark.parametrize("i", range(32))
-    def test_random_thorough_graphs(self, i, c5, grotzsch):
+    def test_random_thorough_graphs(self, i):
         # the random-thorough benchmark's seed-0 graphs, with the pivots the
         # rule gave when a connected graph skipped its chi lookup: the 31
         # connected graphs pivot on vertex 0, all of them when thorough, and
         # Grotzsch + C5 on its first component, Grotzsch
-        if i < 30:
-            g = random_triangle_free(18, 0.3, seed=i)
-        elif i == 30:
-            g = grotzsch
-        else:
-            g = build_graph(16, list(grotzsch.edges()) + [(11 + u, 11 + v) for u, v in c5.edges()])
+        _, g = _random_thorough_graphs(0)[i]
         chi = chromatic_number(g).chi
         assert _colorful_pivots(g, chi, thorough=False) == [0]
         assert _colorful_pivots(g, chi, thorough=True) == list(range(11 if i == 31 else g.n))
+
+
+class TestColoringSource:
+    """Past a truncation, a sample is swept when it was neither enumerated
+    nor drawn before. The source tells an enumerated sample by its place
+    after the last enumerated coloring in lexicographic order, and keeps
+    only the samples in a set; it sweeps the colorings that a set of every
+    swept coloring, the first rule, gave."""
+
+    P3 = build_graph(3, [(0, 1), (1, 2)])
+
+    def check(self, g, graph_id, cfg):
+        chi = chromatic_number(g).chi
+        max_colors = min(chi + cfg.max_colors_delta, g.n)
+        enumerated = [cg.coloring.colors
+                      for cg in islice(iter_colorings(g, max_colors), cfg.coloring_cap)]
+        colorings, truncated = _coloring_source(g, chi, cfg, graph_id)
+        expected, drawn = reference_sample_top_up(g, enumerated, max_colors, cfg.extra_samples,
+                                                  cfg.seed, graph_id)
+        assert truncated
+        assert [cg.coloring.colors for cg in colorings] == expected
+        return enumerated, expected, drawn
+
+    @pytest.mark.parametrize("name, delta, cap, samples", [
+        pytest.param("c5", 1, 3, 10, id="c5"),
+        pytest.param("grotzsch", 0, 50, 30, id="grotzsch"),
+    ])
+    def test_matches_first_rule(self, request, name, delta, cap, samples):
+        cfg = HarnessConfig(max_colors_delta=delta, coloring_cap=cap, extra_samples=samples)
+        _, swept, drawn = self.check(request.getfixturevalue(name), name, cfg)
+        # some draws were enumerated or drawn before, and some were new
+        assert cap < len(swept) < cap + len(drawn)
+
+    def test_sample_equal_to_last_enumerated_is_not_new(self):
+        # P3 with three colors has two canonical colorings, (1, 2, 1) and
+        # (1, 2, 3); at cap 1 the first is the last enumerated one, and the
+        # 40 attempts at two samples draw it again, which adds nothing
+        cfg = HarnessConfig(max_colors_delta=1, coloring_cap=1, extra_samples=2)
+        enumerated, swept, drawn = self.check(self.P3, "p3", cfg)
+        assert enumerated == [(1, 2, 1)] and enumerated[-1] in drawn
+        assert swept == [(1, 2, 1), (1, 2, 3)]
+
+    @pytest.mark.parametrize("seed", [0, 97])
+    def test_random_thorough_corpus(self, seed):
+        # the random-thorough workload's config: --thorough --delta 1 --cap 20
+        # --samples 10 at the seed
+        cfg = HarnessConfig(max_colors_delta=1, coloring_cap=20, extra_samples=10,
+                            seed=seed, thorough=True)
+        for graph_id, g in _random_thorough_graphs(seed):
+            self.check(g, graph_id, cfg)
 
 
 class TestColoringDigest:
@@ -391,6 +472,34 @@ class TestRunCorpus:
         assert summary.skipped == ["line2: 65 vertices is too large for exact search (cap 64)"]
         reports = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["n"] for r in reports] == [5]
+
+    def test_failing_check_does_not_end_the_run(self, tmp_path, monkeypatch, caplog, k2,
+                                                grotzsch):
+        # a level memo that yields a one-vertex path makes the construction's
+        # final check raise on Grotzsch (chi 4 takes one level); K2 (chi 2
+        # takes none) is still checked and written, and `corpus` exits 1
+        def corrupted(g):
+            real = _graph_facts(g)
+
+            def level(active, v, remaining):
+                c1, _, fan, c2, _ = real.level(active, v, remaining)
+                return c1, (None,), fan, c2, v
+
+            return real._replace(level=level)
+
+        monkeypatch.setattr(rainbowpath.colorful, "_graph_facts", corrupted)
+        path = self.write(tmp_path, [encode_graph6(grotzsch), encode_graph6(k2)])
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level(logging.ERROR, logger="rainbowpath.harness"):
+            summary = run_corpus(path, HarnessConfig(output_path=str(out)))
+        message = "construction produced an invalid path; is chi_lb too large?"
+        assert summary.failed == 1 and summary.graphs_processed == 1
+        assert summary.skipped == [f"line1: check failed: {message}"]
+        assert [r["n"] for r in map(json.loads, out.read_text().splitlines())] == [2]
+        [record] = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert record.getMessage() == "line1: check failed" and record.exc_info
+        assert main(["corpus", str(path), "--out", str(out)]) == 1
+        assert len(out.read_text().splitlines()) == 1
 
     def test_mycielski_family_end_to_end(self, tmp_path):
         lines = [encode_graph6(g) for g in mycielski_iterates(2)]
