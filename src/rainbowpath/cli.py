@@ -8,7 +8,9 @@ conjecture sweep), corpus (file sweep to JSONL).
 Exit codes: 0 completed, 1 usage or input error, 2 completed with at least
 one conjecture violation recorded (a shortfall proved by an exact search),
 3 completed with no violation but at least one coloring undecided (its
-search spent the node budget short of chi).
+search spent the node budget short of chi). corpus also exits 1, ahead of
+2 and 3, when the check of a graph failed; it still writes every other
+graph and names the failed line.
 """
 
 from __future__ import annotations
@@ -307,29 +309,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=SearchBudget.max_nodes, help="search-node cap")
     p.set_defaults(func=_cmd_oracle)
 
-    verdicts = "; exits 2 on a proved violation, else 3 if a search was cut short below chi"
-    for name, help_text in (("check", "conjecture sweep over one graph" + verdicts),
-                            ("corpus", "conjecture sweep over a graph6 corpus file" + verdicts)):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        if name == "check":
-            p.add_argument("graph6")
-        else:
-            p.add_argument("path")
-            p.add_argument("--jobs", type=int, default=HarnessConfig.parallelism,
-                           help="worker processes, at most one per graph and per CPU")
-        p.add_argument("--cap", type=int, default=HarnessConfig.coloring_cap,
+    sweep = argparse.ArgumentParser(add_help=False)  # the flags check and corpus share
+    sweep.add_argument("--cap", type=int, default=HarnessConfig.coloring_cap,
                        help="colorings per graph")
-        p.add_argument("--delta", type=int, default=HarnessConfig.max_colors_delta,
+    sweep.add_argument("--delta", type=int, default=HarnessConfig.max_colors_delta,
                        help="extra colors beyond chi, up to n in all")
-        p.add_argument("--samples", type=int, default=HarnessConfig.extra_samples,
+    sweep.add_argument("--samples", type=int, default=HarnessConfig.extra_samples,
                        help="random colorings beyond the cap")
-        p.add_argument("--budget", type=int, default=HarnessConfig.max_nodes,
+    sweep.add_argument("--budget", type=int, default=HarnessConfig.max_nodes,
                        help="search-node cap")
-        p.add_argument("--seed", type=int, default=HarnessConfig.seed)
-        p.add_argument("--thorough", action="store_true",
+    sweep.add_argument("--seed", type=int, default=HarnessConfig.seed)
+    sweep.add_argument("--thorough", action="store_true",
                        help="run the colorful construction from every vertex")
-        p.add_argument("--out", help="output path (JSON / JSONL)")
-        p.set_defaults(func=_cmd_check if name == "check" else _cmd_corpus)
+    sweep.add_argument("--out", help="output path (JSON / JSONL)")
+    verdicts = "; exits 2 on a proved violation, else 3 if a search was cut short below chi"
+
+    help_text = "conjecture sweep over one graph" + verdicts
+    p = sub.add_parser("check", help=help_text, description=help_text, parents=[sweep])
+    p.add_argument("graph6")
+    p.set_defaults(func=_cmd_check)
+
+    help_text = "conjecture sweep over a graph6 corpus file" + verdicts
+    p = sub.add_parser("corpus", help=help_text, description=help_text, parents=[sweep])
+    p.add_argument("path")
+    p.add_argument("--jobs", type=int, default=HarnessConfig.parallelism,
+                   help="worker processes, at most one per graph and per CPU")
+    p.set_defaults(func=_cmd_corpus)
 
     return parser
 

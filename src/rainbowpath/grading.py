@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 
-from .chromatic import chromatic_number
+from .chromatic import chromatic_number, dsatur_coloring
 from .graphs import (ColoredGraph, Graph, GraphError, Path, _bits, _layers, _walk_back, classify_path,
                      induced_subgraph)
 from .oracle import SearchBudget, _color_levels, _color_orientation, longest_induced_path
@@ -108,8 +108,6 @@ def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
     k becomes the largest per-part palette actually needed, and at least 1:
     an empty part's palette is 0.
     """
-    from .chromatic import dsatur_coloring
-
     colorings = []
     k = 1
     for part in parts:

@@ -194,18 +194,6 @@ class PathReport:
     color_count: int
 
 
-def check_path(g: Graph, seq: tuple[int, ...] | list[int]) -> Path:
-    """Validate that seq is a path of g (distinct vertices, consecutive adjacency)."""
-    path = Path(tuple(seq))
-    for v in path.vertices:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} not in graph")
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        if not g.has_edge(a, b):
-            raise GraphError(f"consecutive vertices {a},{b} are not adjacent")
-    return path
-
-
 def _is_induced(masks: Sequence[int], seq: Sequence[int]) -> bool:
     """Whether distinct vertices seq form an induced path: each adjacent to
     the one before it and to none two or more places before it. O(len(seq))."""
@@ -220,9 +208,16 @@ def _is_induced(masks: Sequence[int], seq: Sequence[int]) -> bool:
 def classify_path(cg: ColoredGraph, seq: tuple[int, ...] | list[int]) -> PathReport:
     """Report order, inducedness, rainbowness, and color count of a path.
 
-    Raises GraphError if seq is not a path of the underlying graph.
+    Raises GraphError if seq is not a path of the underlying graph: its
+    vertices must be distinct vertices of the graph, consecutive ones adjacent.
     """
-    path = check_path(cg.graph, seq)
+    path = Path(tuple(seq))
+    for v in path.vertices:
+        if not 0 <= v < cg.graph.n:
+            raise GraphError(f"vertex {v} not in graph")
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        if not cg.graph.has_edge(a, b):
+            raise GraphError(f"consecutive vertices {a},{b} are not adjacent")
     color_count = len({cg.color_of(v) for v in path.vertices})
     return PathReport(
         order=path.order,

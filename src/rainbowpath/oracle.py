@@ -95,10 +95,10 @@ def _finish(raw_path: list[int], nodes: int, exceeded: bool, budget: SearchBudge
     return SearchResult(Path(tuple(raw_path)), exact=not exceeded, nodes=nodes)
 
 
-def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
+def _search_path(masks: tuple[int, ...], block: list[int], limit: int,
                  max_nodes: int) -> tuple[list[int], int, bool]:
     """Maximum-order induced path with at most one vertex of each block;
-    returns (path, nodes_used, exceeded). n must be at least 1.
+    returns (path, nodes_used, exceeded). masks is not empty.
 
     The blocks partition the vertices, and block[x] is the vertex mask of
     the block of x: 1 << x for a plain induced path, the color class of x
@@ -133,6 +133,7 @@ def _search_path(masks: tuple[int, ...], n: int, block: list[int], limit: int,
     search, could come first. A budget cut keeps this, since the search
     from e finished before the one from s began.
     """
+    n = len(masks)
     best = [0]
     nodes = 0
     for start in range(n):
@@ -249,7 +250,7 @@ def longest_induced_path(g: Graph, budget: SearchBudget = SearchBudget()) -> Sea
     """
     _check_budget(g, budget)
     raw, nodes, exceeded = _search_path(
-        g.masks, g.n, [1 << v for v in range(g.n)], g.n, budget.max_nodes
+        g.masks, [1 << v for v in range(g.n)], g.n, budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget)
 
@@ -260,7 +261,7 @@ def longest_induced_rainbow_path(cg: ColoredGraph, budget: SearchBudget = Search
     _check_budget(g, budget)
     classes = cg.classes
     raw, nodes, exceeded = _search_path(
-        g.masks, g.n, [classes[c] for c in cg.coloring.colors], len(classes), budget.max_nodes
+        g.masks, [classes[c] for c in cg.coloring.colors], len(classes), budget.max_nodes
     )
     return _finish(raw, nodes, exceeded, budget)
 

@@ -1,5 +1,6 @@
 import pytest
 
+import rainbowpath.colorful
 from rainbowpath import (
     ColoredGraph,
     Coloring,
@@ -10,6 +11,7 @@ from rainbowpath import (
     mycielski_iterates,
     petersen_graph,
 )
+from rainbowpath.colorful import _graph_facts
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +38,23 @@ def grotzsch():
 @pytest.fixture(scope="session")
 def k2():
     return build_graph(2, [(0, 1)])
+
+
+@pytest.fixture
+def corrupted_level_memo(monkeypatch):
+    """A level memo whose approach path has only the start, so the
+    construction's final check raises on any graph that takes a level
+    (Grotzsch, chi 4, takes one; K2, chi 2, takes none)."""
+    def corrupted(g):
+        real = _graph_facts(g)
+
+        def level(active, v, remaining):
+            c1, _, fan, c2, _ = real.level(active, v, remaining)
+            return c1, (None,), fan, c2, v
+
+        return real._replace(level=level)
+
+    monkeypatch.setattr(rainbowpath.colorful, "_graph_facts", corrupted)
 
 
 def optimally_colored(g) -> ColoredGraph:

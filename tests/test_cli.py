@@ -7,6 +7,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import rainbowpath.cli
 import rainbowpath.harness
 from rainbowpath import (HarnessConfig, Path, SearchBudget, build_graph, cycle_graph, decode_graph6,
                          encode_graph6, petersen_graph)
@@ -351,6 +352,38 @@ class TestDefaults:
         cfg = _make_config(args, args.thorough)
         assert dataclasses.replace(cfg, output_path=None) == HarnessConfig()
 
+    SWEEP_KEYS = {"command", "func", "cap", "delta", "samples", "budget", "seed", "thorough",
+                  "out"}
+
+    @pytest.mark.parametrize("argv, keys, func", [
+        (["check", "G"], SWEEP_KEYS | {"graph6"}, "_cmd_check"),
+        (["corpus", "F"], SWEEP_KEYS | {"path", "jobs"}, "_cmd_corpus"),
+    ])
+    @pytest.mark.parametrize("flags, field, value", [
+        (("--cap", "7"), "coloring_cap", 7),
+        (("--delta", "2"), "max_colors_delta", 2),
+        (("--samples", "5"), "extra_samples", 5),
+        (("--budget", "99"), "max_nodes", 99),
+        (("--seed", "13"), "seed", 13),
+        (("--thorough",), "thorough", True),
+        (("--out", "reports.jsonl"), "output_path", "reports.jsonl"),
+    ])
+    def test_sweep_flag_fills_its_field(self, argv, keys, func, flags, field, value):
+        args = build_parser().parse_args([*argv, *flags])
+        assert set(vars(args)) == keys and args.func is getattr(rainbowpath.cli, func)
+        assert _make_config(args, args.thorough) == dataclasses.replace(HarnessConfig(),
+                                                                        **{field: value})
+
+    def test_jobs_is_a_corpus_flag(self, capsys):
+        args = build_parser().parse_args(["corpus", "F", "--jobs", "3"])
+        assert _make_config(args, args.thorough) == HarnessConfig(parallelism=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "G", "--jobs", "2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rainbowpath ")
+        assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+
     def test_oracle_budget_defaults_to_search_budget(self):
         assert build_parser().parse_args(["oracle", "G"]).budget == SearchBudget().max_nodes
 
@@ -462,6 +495,22 @@ class TestCorpusCommand:
         assert code == 2
         assert "violations found: 1" in out.splitlines()
         assert "undecided: 1" in out.splitlines()
+
+    def test_failed_check_beats_violation(self, capsys, tmp_path, grotzsch, k2,
+                                          corrupted_level_memo, one_vertex_rainbow):
+        # Grotzsch's check fails in the construction; K2's rainbow searches
+        # prove a one-vertex shortfall below chi 2
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(encode_graph6(grotzsch) + "\n" + encode_graph6(k2) + "\n")
+        out_file = tmp_path / "reports.jsonl"
+        code, out, _ = run(capsys, "corpus", str(corpus), "--out", str(out_file))
+        assert code == 1
+        lines = out.splitlines()
+        assert "violations found: 1" in lines
+        assert ("skipped line1: check failed: construction produced an invalid path; "
+                "is chi_lb too large?") in lines
+        [record] = map(json.loads, out_file.read_text().splitlines())
+        assert record["n"] == 2 and record["holds_for_all_checked"] is False
 
     def test_missing_file_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", str(tmp_path / "nope.g6"))

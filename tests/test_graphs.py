@@ -191,9 +191,9 @@ class TestClassifyPath:
         assert _is_induced(g.masks, seq) == pairwise
 
     def test_rejects_non_path(self, c5_colored):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^consecutive vertices 0,2 are not adjacent$"):
             classify_path(c5_colored, (0, 2))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^path vertices must be distinct$"):
             classify_path(c5_colored, (0, 1, 0))
 
     def test_rejects_vertex_outside_graph(self, c5_colored):

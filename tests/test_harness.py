@@ -473,21 +473,10 @@ class TestRunCorpus:
         reports = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["n"] for r in reports] == [5]
 
-    def test_failing_check_does_not_end_the_run(self, tmp_path, monkeypatch, caplog, k2,
-                                                grotzsch):
-        # a level memo that yields a one-vertex path makes the construction's
-        # final check raise on Grotzsch (chi 4 takes one level); K2 (chi 2
-        # takes none) is still checked and written, and `corpus` exits 1
-        def corrupted(g):
-            real = _graph_facts(g)
-
-            def level(active, v, remaining):
-                c1, _, fan, c2, _ = real.level(active, v, remaining)
-                return c1, (None,), fan, c2, v
-
-            return real._replace(level=level)
-
-        monkeypatch.setattr(rainbowpath.colorful, "_graph_facts", corrupted)
+    def test_failing_check_does_not_end_the_run(self, tmp_path, caplog, k2, grotzsch,
+                                                corrupted_level_memo):
+        # the construction's final check raises on Grotzsch; K2 is still
+        # checked and written, and `corpus` exits 1
         path = self.write(tmp_path, [encode_graph6(grotzsch), encode_graph6(k2)])
         out = tmp_path / "out.jsonl"
         with caplog.at_level(logging.ERROR, logger="rainbowpath.harness"):
