@@ -14,8 +14,8 @@ neighbor already had it forbidden), the vertex's other colors are not
 tried: any coloring with another color there stays proper with the free
 one. The witness is the first coloring this search finds, and the cut
 gives up only branches that hold none. Saturations are kept as
-bit-sliced counters over vertex bitmasks, so each color tried costs
-O(log k) mask operations, whatever the degree. The search runs on an
+thermometer planes of vertex bitmasks, all in one int, so each color tried
+costs O(1) int operations, whatever k or the degree. The search runs on an
 explicit stack, not by recursion; at k = n its first descent is the greedy
 DSATUR coloring, dsatur_coloring.
 
@@ -118,14 +118,23 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     The first coloring found is returned. Vertices are relabelled once by
     their static rank (-degree, id), and all state is rank bitmasks:
     forbid[c] holds the uncolored vertices with a neighbor colored c, and
-    every vertex's saturation is a counter bit-sliced over k.bit_length()
-    planes. Coloring v with c adds the neighbors it newly forbids c to in
-    one ripple-carry pass over the planes, and the next vertex is the lowest
-    rank left after narrowing the uncolored mask plane by plane from the
-    top: O(log k) mask operations per color tried, not O(deg v).
+    the saturations are thermometer planes in one int, sat: plane j, at
+    bits (j - 1)n .. jn - 1, holds the vertices with at least j colors
+    forbidden. Coloring v with c raises the vertices it newly forbids c to,
+    new, by one plane: lifted = sat << n | full moves every plane up one
+    and fills plane 1 with every vertex, so c is a wipeout when new meets
+    plane k of lifted, and otherwise sat gains lifted & new * rep, where
+    rep copies new into each plane. The planes stop at
+    min(k - 1, max degree), since no saturation passes its vertex's degree:
+    when they stop below k - 1, plane k of lifted lies above them and reads
+    0, and rightly so, as no vertex can have k colors forbidden. The next
+    vertex is the lowest rank in the highest plane, from min(used, planes)
+    down, that meets the uncolored mask, since no saturation exceeds the
+    colors used. Each color tried costs O(1) int operations, whatever k or
+    deg v.
 
     It all runs in one loop over an explicit stack of frames (v, used,
-    uncolored, planes, c, new): v, chosen in state (used, uncolored, planes),
+    uncolored, sat, c, new): v, chosen in state (used, uncolored, sat),
     took color c and newly forbade it to new. Backtracking pops frames until
     one has new != 0 (new == 0 is exactly a free color), undoes
     forbid[c] |= new for it and tries c + 1.
@@ -138,46 +147,44 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
     nbr = [sum(1 << rank[u] for u in _bits(g.masks[v])) for v in order]
     colors = [0] * n
     forbid = [0] * (k + 1)
-    width = k.bit_length()
-    # Each counter starts at 2**width - k, so a saturation reaches k exactly
-    # when its counter carries out of the top plane.
-    start = (1 << width) - k
-    planes = [(1 << n) - 1 if start >> i & 1 else 0 for i in range(width)]
+    full = (1 << n) - 1
+    # no saturation passes the top degree, so planes above it would stay empty
+    planes = min(k - 1, g.degree(order[0]))
+    rep = sum(1 << j * n for j in range(planes))
+    wipe = (k - 1) * n
+    # downs[j] shifts plane j, then each plane below it, to the bottom
+    downs = [range((j - 1) * n, -1, -n) for j in range(planes + 1)]
     # every saturation is 0, so the first choice is rank 0
-    v, used, uncolored, c = 0, 0, (1 << n) - 2, 0
-    stack: list[tuple[int, int, int, list[int], int, int]] = []
+    v, used, uncolored, sat, c = 0, 0, full ^ 1, 0, 0
+    stack: list[tuple[int, int, int, int, int, int]] = []
     while True:
         bit = 1 << v
         around = nbr[v] & uncolored
-        last = used + 1 if used < k else k  # min() here costs about 10% of the search
+        last = used + 1 if used < k else k  # min() here costs about 15% of the search
         while c < last:
             c += 1
             if forbid[c] & bit:
                 continue
             new = around & ~forbid[c]
-            sat = planes.copy()
-            carry = new
-            for i in range(width):
-                plane = sat[i]
-                sat[i] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                continue  # wipeout: a vertex of new has all k colors forbidden
+            lifted = sat << n | full
+            if new & lifted >> wipe:
+                continue  # wipeout: c was the last color some vertex of new had
             colors[v] = c
             if not uncolored:
                 return Coloring(tuple(colors[rank[u]] for u in range(n)))
             forbid[c] |= new
-            stack.append((v, used, uncolored, planes, c, new))
-            top = uncolored
-            for plane in reversed(sat):
-                if top & plane:
-                    top &= plane
-            top &= -top
+            stack.append((v, used, uncolored, sat, c, new))
+            sat |= lifted & new * rep
             if c > used:
                 used = c
-            v, uncolored, planes, c = top.bit_length() - 1, uncolored ^ top, sat, 0
+            for shift in downs[used if used < planes else planes]:
+                top = sat >> shift & uncolored
+                if top:
+                    break
+            else:
+                top = uncolored
+            top &= -top
+            v, uncolored, c = top.bit_length() - 1, uncolored ^ top, 0
             break
         else:
             # a frame with new == 0 took a free color, and its branch failed:
@@ -185,7 +192,7 @@ def _k_colorable(g: Graph, k: int) -> Coloring | None:
             while True:
                 if not stack:
                     return None
-                v, used, uncolored, planes, c, new = stack.pop()
+                v, used, uncolored, sat, c, new = stack.pop()
                 if new:
                     break
             forbid[c] ^= new

@@ -316,17 +316,19 @@ class TestFrozenColorability:
     to bit-sliced saturation counters (k = 1, 7, 8, 9); and the number of
     vertex choices it makes, frozen with the bit-sliced search and
     re-recorded when it gained its free-color cut, which moved only
-    Mycielski-3 at k = 4 and none of the witnesses.
+    Mycielski-3 at k = 4 and none of the witnesses. Both the witnesses and
+    the counts held, unchanged, when the counters gave way to thermometer
+    saturation planes in one int.
 
     Inputs: random_triangle_free(n, 0.35, seed) for n = 14..28 even and
     seeds 0-4, plus Groetzsch and Mycielski-3, each at k = 1..5 and 7..9;
     and dense G(n, 0.75) graphs (`dense_graph`) for n = 16..22 even and
     seeds 0-2, whose chromatic numbers 7..10 straddle k = 7, 8 and 9, at
-    k = 1, 7, 8, 9. A saturation up to k takes 1, 3 and 4 bits at k = 1,
-    7 and 8..9. The first coloring found depends on the vertex and color
-    choices on its own branch, and a None on none of them; the choice count
-    also pins the branches given up, so a search that notices a wipeout a
-    level late, and finds the same witness, fails here.
+    k = 1, 7, 8, 9. A bit-sliced saturation up to k took 1, 3 and 4 bits
+    at k = 1, 7 and 8..9. The first coloring found depends on the vertex
+    and color choices on its own branch, and a None on none of them; the
+    choice count also pins the branches given up, so a search that notices
+    a wipeout a level late, and finds the same witness, fails here.
     """
 
     CASES = json.loads((Path(__file__).parent / "data" / "frozen_colorability.json").read_text(encoding="ascii"))
@@ -386,6 +388,29 @@ class TestKColorable:
             g = random_triangle_free(n, p, seed)
             k = chromatic_number(g).chi + offset
             assert _k_colorable(g, k) == naive_k_colorable(g, k), (n, p, seed, k)
+
+    @staticmethod
+    def _check_dsatur_above_max_degree(g):
+        # with more colors than the largest degree no saturation reaches k,
+        # so every such k takes DSATUR's descent; the saturation planes stop
+        # at the largest degree, and from k = max degree + 2 on the wipeout
+        # test reads past the top plane
+        greedy = dsatur_coloring(g)
+        assert greedy == naive_dsatur(g)
+        for k in range(max(map(g.degree, range(g.n))) + 1, g.n + 1):
+            assert _k_colorable(g, k) == greedy, k
+
+    @given(graphs())
+    @settings(deadline=None)
+    def test_dsatur_descent_above_max_degree(self, g):
+        self._check_dsatur_above_max_degree(g)
+
+    @pytest.mark.parametrize("g", [random_triangle_free(64, 0.1, seed) for seed in range(3)]
+                             + [dense_graph(60, 0.5, seed) for seed in range(3)],
+                             ids=[f"triangle-free-64-{s}" for s in range(3)]
+                             + [f"dense-60-{s}" for s in range(3)])
+    def test_dsatur_descent_above_max_degree_on_large_graphs(self, g):
+        self._check_dsatur_above_max_degree(g)
 
     def test_deep_even_cycle(self):
         # a descent of 3,000 vertices, deeper than a recursive search can go
