@@ -250,11 +250,6 @@ def _cmd_corpus(args) -> int:
     return 1 if summary.failed else 2 if summary.violations else 3 if summary.undecided else 0
 
 
-def _add_coloring_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coloring", help="whitespace-separated colors in vertex-id order")
-    p.add_argument("--coloring-file", help="file whose first data line is the coloring")
-
-
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, like any other input error: argparse's own
     exit code 2 is the one that means a violation was recorded."""
@@ -288,24 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="also print weight sequences")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("construct", help="build a colorful induced path from a vertex")
-    p.add_argument("graph6")
-    _add_coloring_args(p)
+    colored = argparse.ArgumentParser(add_help=False)  # the input of construct, lemma1 and oracle
+    colored.add_argument("graph6")
+    either = colored.add_mutually_exclusive_group()
+    either.add_argument("--coloring", help="whitespace-separated colors in vertex-id order")
+    either.add_argument("--coloring-file", help="file whose first data line is the coloring")
+
+    p = sub.add_parser("construct", help="build a colorful induced path from a vertex",
+                       parents=[colored])
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("lemma1", help="graded rainbow-path-or-witness procedure")
-    p.add_argument("graph6")
-    _add_coloring_args(p)
+    p = sub.add_parser("lemma1", help="graded rainbow-path-or-witness procedure",
+                       parents=[colored])
     p.add_argument("--grading-file", required=True)
     p.add_argument("--s", type=int, required=True, help="target path order (>= 3)")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_lemma1)
 
-    p = sub.add_parser("oracle", help="exact search results for one graph")
-    p.add_argument("graph6")
-    _add_coloring_args(p)
+    p = sub.add_parser("oracle", help="exact search results for one graph", parents=[colored])
     p.add_argument("--budget", type=int, default=SearchBudget.max_nodes, help="search-node cap")
     p.set_defaults(func=_cmd_oracle)
 

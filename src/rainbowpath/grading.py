@@ -68,8 +68,10 @@ class Grading:
         return tuple(out)
 
 
-def validate_grading(g: Graph, grading: Grading) -> None:
-    """Raise GradingError unless grading is a k-colorable grading of g."""
+def validate_grading(g: Graph, grading: Grading) -> dict[int, tuple[int, int]]:
+    """Raise GradingError unless grading is a k-colorable grading of g.
+
+    Returns the (part index, part color) of each vertex, keyed by vertex."""
     if grading.k < 1:
         raise GradingError("k must be positive")
     if len(grading.parts) != len(grading.part_colorings):
@@ -91,6 +93,7 @@ def validate_grading(g: Graph, grading: Grading) -> None:
     for u, v in g.edges():
         if key[u] == key[v]:
             raise GradingError(f"part coloring is improper on edge ({u},{v})")
+    return key
 
 
 def singleton_grading(g: Graph) -> Grading:
@@ -125,17 +128,16 @@ def grading_from_partition(g: Graph, parts: list[list[int]]) -> Grading:
 
 def refine_grading(cg: ColoredGraph, grading: Grading) -> tuple[tuple[int, ...], ...]:
     """Split V into k classes Z_1..Z_k, each sorted, by the per-part coloring
-    of each vertex.
+    of each vertex: validate_grading's table, read in vertex order.
 
     validate_grading proves each part coloring proper, so each class meets
     each part in an independent set.
     """
-    validate_grading(cg.graph, grading)
+    key = validate_grading(cg.graph, grading)
     buckets: list[list[int]] = [[] for _ in range(grading.k)]
-    for part, coloring in zip(grading.parts, grading.part_colorings):
-        for v, c in zip(part, coloring):
-            buckets[c - 1].append(v)
-    return tuple(tuple(sorted(b)) for b in buckets)
+    for v in range(cg.graph.n):
+        buckets[key[v][1] - 1].append(v)
+    return tuple(map(tuple, buckets))
 
 
 class OutcomeKind(Enum):

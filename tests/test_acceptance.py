@@ -144,7 +144,10 @@ def test_colorful_construction(named_corpus, random_corpus):
         needed = -(-chi // 2)
         for cg in colorings:
             for v in range(g.n):
-                result = colorful_path_from(cg, v, chi)
+                # connected, so the default bound is chi itself, without
+                # the DSATUR pass an explicit bound is checked against
+                result = colorful_path_from(cg, v)
+                assert result.chi_lb == chi
                 report = classify_path(cg, result.path.vertices)
                 assert report.is_induced
                 assert result.path.vertices[0] == v

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path as FilePath
@@ -93,6 +94,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert err.startswith("usage: rainbowpath") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "Dhc"),
+        ("lemma1", "Dhc", "--grading-file", "grading.txt", "--s", "3"),
+        ("oracle", "Dhc"),
+    ])
+    def test_coloring_and_coloring_file_exclude_each_other(self, capsys, tmp_path, argv):
+        # both would leave one unread, so the pair is a usage error
+        path = tmp_path / "coloring.txt"
+        path.write_text("1 2 1 2 3\n", encoding="ascii")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--coloring", "1 2 1 2 3", "--coloring-file", str(path)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rainbowpath {argv[0]} ")
+        assert err.endswith("error: argument --coloring-file: not allowed with argument "
+                            "--coloring\n")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -383,6 +401,26 @@ class TestDefaults:
         err = capsys.readouterr().err
         assert err.startswith("usage: rainbowpath ")
         assert err.endswith("error: unrecognized arguments: --jobs 2\n")
+
+    COLORED = {"graph6": "Dhc", "coloring": "1 2 1 2 3", "coloring_file": None}
+
+    @pytest.mark.parametrize("line, namespace, func", [
+        ('oracle Dhc --coloring "1 2 1 2 3"',
+         {"command": "oracle", **COLORED, "budget": SearchBudget.max_nodes}, "_cmd_oracle"),
+        ('construct Dhc --coloring "1 2 1 2 3" --start 0 --trace',
+         {"command": "construct", **COLORED, "start": 0, "trace": True}, "_cmd_construct"),
+        ('lemma1 Dhc --coloring "1 2 1 2 3" --grading-file grading.txt --s 3 --trace',
+         {"command": "lemma1", **COLORED, "grading_file": "grading.txt", "s": 3, "trace": True},
+         "_cmd_lemma1"),
+    ])
+    def test_readme_colored_commands(self, line, namespace, func):
+        # each colored-graph command line of the README parses to exactly
+        # these keys and values
+        readme = (FilePath(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"rainbowpath {line}\n" in readme
+        args = vars(build_parser().parse_args(shlex.split(line)))
+        assert args.pop("func") is getattr(rainbowpath.cli, func)
+        assert args == namespace
 
     def test_oracle_budget_defaults_to_search_budget(self):
         assert build_parser().parse_args(["oracle", "G"]).budget == SearchBudget().max_nodes

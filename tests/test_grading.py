@@ -145,6 +145,19 @@ class TestRefineGrading:
                     for b in inside:
                         assert a == b or not g.has_edge(a, b)
 
+    @given(graphs(max_n=10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bucket_then_sort(self, g, seed):
+        # class c holds the vertices of part color c, in ascending id
+        rng = random.Random(seed)
+        cg = ColoredGraph(g, random_proper_coloring(g, rng))
+        grading = random_grading(g, rng)
+        buckets = [[] for _ in range(grading.k)]
+        for part, coloring in zip(grading.parts, grading.part_colorings):
+            for v, c in zip(part, coloring):
+                buckets[c - 1].append(v)
+        assert refine_grading(cg, grading) == tuple(tuple(sorted(b)) for b in buckets)
+
 
 class TestProcedureOutcomes:
     def test_c5_returns_verified_outcome(self, c5, c5_colored):

@@ -24,6 +24,7 @@ from rainbowpath import (
     chromatic_number,
     cycle_graph,
     encode_graph6,
+    is_triangle_free,
     iter_colorings,
     mycielski_iterates,
     random_triangle_free,
@@ -449,6 +450,23 @@ class TestRunCorpus:
         assert len(summary.skipped) == 1
         reports = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(reports) == 1 and reports[0]["n"] == 5
+
+    def test_one_triangle_scan_per_line(self, tmp_path, monkeypatch, k2, c5, grotzsch):
+        # check_graph is the one place that tests a valid line for a triangle;
+        # a line with one still skips with the same reason, as no failure
+        scanned = []
+
+        def counted(g):
+            scanned.append(g.n)
+            return is_triangle_free(g)
+
+        monkeypatch.setattr(rainbowpath.harness, "is_triangle_free", counted)
+        triangle = encode_graph6(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+        path = self.write(tmp_path, [encode_graph6(g) for g in (k2, c5, grotzsch)] + [triangle])
+        summary = run_corpus(path, HarnessConfig(output_path=str(tmp_path / "out.jsonl")))
+        assert summary.graphs_processed == 3 and summary.failed == 0
+        assert summary.skipped == ["line4: graph contains a triangle"]
+        assert scanned[:3] == [2, 5, 11] and set(scanned[3:]) == {3}
 
     def test_comments_ignored(self, tmp_path, c5):
         path = self.write(tmp_path, ["# family: cycles", encode_graph6(c5)])
