@@ -69,8 +69,6 @@ def random_triangle_free(n: int, p: float, seed: int) -> Graph:
     """
     if not 0 <= p <= 1:
         raise GraphError(f"edge probability {p} outside [0, 1]")
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
     rng = random.Random(seed)
     candidates = list(combinations(range(n), 2))
     rng.shuffle(candidates)

@@ -42,7 +42,9 @@ class Graph:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or len(self.masks) != self.n:
+        if self.n < 0:
+            raise GraphError("vertex count must be non-negative")
+        if len(self.masks) != self.n:
             raise GraphError(f"need exactly {self.n} adjacency masks")
         full = (1 << self.n) - 1
         for v, m in enumerate(self.masks):
@@ -77,10 +79,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating and symmetrizing.
 
     Raises GraphError for endpoints outside [0, n), checked before the
-    masks are indexed; Graph itself refuses a self-loop.
+    masks are indexed; Graph itself refuses a negative n and a self-loop.
     """
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -5,9 +5,7 @@ from rainbowpath import (
     ColoredGraph,
     Coloring,
     build_graph,
-    chromatic_number,
     cycle_graph,
-    dsatur_coloring,
     mycielski_iterates,
     petersen_graph,
 )
@@ -55,11 +53,3 @@ def corrupted_level_memo(monkeypatch):
         return real._replace(level=level)
 
     monkeypatch.setattr(rainbowpath.colorful, "_graph_facts", corrupted)
-
-
-def optimally_colored(g) -> ColoredGraph:
-    return ColoredGraph(g, chromatic_number(g).witness)
-
-
-def greedy_colored(g) -> ColoredGraph:
-    return ColoredGraph(g, dsatur_coloring(g))

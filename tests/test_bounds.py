@@ -22,7 +22,9 @@ class TestComputeBounds:
             assert compute_bounds(s).r == 4 * (s - 1) ** (2 * (s - 1))
 
     def test_recurrence_against_closed_form(self):
-        for s in range(3, 13):
+        # compute_bounds runs only the recurrence; the closed form is checked
+        # here over every table size the CLI is likely to print
+        for s in range(3, 41):
             b = compute_bounds(s)
             assert b.w[0] == 0
             for j in range(1, len(b.w)):
@@ -63,6 +65,12 @@ class TestGuaranteedLength:
         c4 = compute_bounds(4).c
         assert guaranteed_length(c4) == 3
         assert guaranteed_length(c4 + 1) == 4
+
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_inverts_each_threshold(self, s):
+        c = compute_bounds(s).c
+        assert guaranteed_length(c) == s - 1
+        assert guaranteed_length(c + 1) == s
 
     def test_monotone_on_log_sample(self):
         limit = compute_bounds(5).c

@@ -81,6 +81,7 @@ class TestBuildGraph:
         (2, (0b110, 0b1), "vertex 0 adjacent to out-of-range vertex"),
         (2, (0b11, 0b1), "self-loop at vertex 0"),
         (3, (0b10, 0b101, 0b0), "asymmetric adjacency between 2 and 1"),
+        (-1, (), "vertex count must be non-negative"),
     ])
     def test_graph_constructor_rejects(self, n, masks, message):
         with pytest.raises(GraphError, match=f"^{message}$"):

@@ -6,7 +6,8 @@ reports of the benchmark's three workloads, that one benchmark iteration
 runs in a fresh interpreter as the benchmark starts it, the pytest
 configuration's warning filter, which decides whether a failing test lets
 the rest of the session run, that the package defines nothing that only
-tests use, and that the committed benchmark history holds no raw samples."""
+tests use, that every test helper has a test that uses it, and that the
+committed benchmark history holds no raw samples."""
 
 import ast
 import importlib
@@ -60,6 +61,23 @@ def test_traced_name_defined_or_called(attr):
     assert name in defined | called, f"rainbowpath.{attr} is imported but never called"
 
 
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.alias: "name"}
+
+
+def _unused(trees, defined, kinds):
+    """The (file, name) pairs of defined that no tree names outside that
+    definition itself, through a node of one of kinds (keys of
+    _NAME_FIELD: a name, an attribute, a parameter, an imported name)."""
+    named = set()  # (file, top-level definition it sits in, name)
+    for file, tree in trees.items():
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            named.update((file, owner, getattr(sub, _NAME_FIELD[type(sub)]))
+                         for sub in ast.walk(node) if type(sub) in kinds)
+    return [(file, name) for file, name in defined
+            if not any(n == name and (f, o) != (file, name) for f, o, n in named)]
+
+
 def test_every_definition_is_used_or_exported():
     """Every module-level function and class of src/rainbowpath is named in
     the package outside its own definition, or exported by its __init__.
@@ -68,20 +86,25 @@ def test_every_definition_is_used_or_exported():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     exported = {alias.asname or alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    defined, named = [], set()  # named: (module, top-level definition it sits in, name)
-    for module, tree in trees.items():
-        for node in tree.body:
-            owner = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, owner))
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    named.add((module, owner, sub.id))
-                elif isinstance(sub, ast.Attribute):
-                    named.add((module, owner, sub.attr))
-    unused = [f"{module}.{name}" for module, name in defined if name not in exported
-              and not any(n == name and (m, o) != (module, name) for m, o, n in named)]
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{module}.{name}" for module, name in _unused(trees, defined, (ast.Name, ast.Attribute))
+              if name not in exported]
     assert not unused, f"defined in src/rainbowpath but used only outside it: {unused}"
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_every_test_helper_is_used():
+    """Every module-level function of tests/conftest.py and tests/helpers.py
+    is named by the test modules outside its own definition: as a name, an
+    attribute, a fixture parameter, or an import from another file."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py")}
+    defined = [(file, node.name) for file in ("conftest.py", "helpers.py") for node in trees[file].body
+               if isinstance(node, ast.FunctionDef)]
+    unused = [f"{file[:-3]}.{name}" for file, name in _unused(trees, defined, tuple(_NAME_FIELD))]
+    assert not unused, f"test helpers that no test uses: {unused}"
 
 
 def _reference_digest(name, seed, tmp_path):
